@@ -74,7 +74,7 @@ from repro.gpusim.thermal import ThrottleReasons
 from repro.machine import MachineCheckpoint
 from repro.stats.rse import RseStoppingRule
 
-__all__ = ["PairBlockRunner", "measure_pair_blocked", "plan_block_size"]
+__all__ = ["measure_pair_blocked", "plan_block_size"]
 
 
 def plan_block_size(
@@ -137,80 +137,52 @@ def _evaluate_deferred_block(raws, bench, target_stats, cfg):
     )
 
 
-class PairBlockRunner:
-    """Resumable speculate/resolve state machine of one pair's blocked loop.
+def measure_pair_blocked(
+    bench: BenchContext,
+    init_mhz: float,
+    target_mhz: float,
+    phase1,
+    probe,
+    block_cap: int,
+) -> PairResult:
+    """Pass-block batched equivalent of ``measure_pair_reference``.
 
-    The blocked measurement loop factored into explicit phases so two
-    drivers can share one control-flow implementation:
-
-    * :func:`measure_pair_blocked` drives a single runner to completion —
-      speculate, evaluate the block, resolve, repeat;
-    * the pair-parallel tier (:mod:`repro.core.pairbatch`) drives N
-      runners in lockstep, evaluating all speculated blocks in one
-      cross-pair array sweep between the per-runner speculate and resolve
-      steps.
-
-    Because the scalar decision logic lives here exactly once, any driver
-    that feeds each runner the per-pass evaluations in speculation order
-    reproduces ``measure_pair_blocked`` — and therefore the scalar
-    reference loop — bit for bit.
+    Each round speculates one block of passes, evaluates the block's
+    deferred kernels in one sweep, then resolves: the scalar control flow
+    replays over the real outcomes, and the machine is rolled back through
+    the ledger at the first divergence.
     """
+    # Imported here: campaign imports this module lazily from its own
+    # measure_pair dispatcher.
+    from repro.clustering.adaptive import adaptive_dbscan
+    from repro.core.campaign import _MIN_FOR_OUTLIER_FILTER, _initial_window_iters
 
-    def __init__(
-        self,
-        bench: BenchContext,
-        init_mhz: float,
-        target_mhz: float,
-        phase1,
-        probe,
-        block_cap: int,
-    ) -> None:
-        # Imported here: campaign imports this module lazily from its own
-        # measure_pair dispatcher.
-        from repro.core.campaign import _initial_window_iters
-
-        self.bench = bench
-        self.cfg = bench.config
-        self.machine = bench.machine
-        self.kernel = phase1.kernel
-        self.init_mhz = init_mhz
-        self.target_mhz = target_mhz
-        self.target_stats = phase1.stats_for(target_mhz)
-        self.rule = self.cfg.stopping_rule()
-        self.block_cap = block_cap
-        self.pair = PairResult(
-            init_mhz=float(init_mhz),
-            target_mhz=float(target_mhz),
-            axis=self.cfg.axis,
-        )
-        self.window_iters = _initial_window_iters(
-            bench, init_mhz, target_mhz, probe, self.kernel
-        )
-        self.growths = 0
-        self.consecutive_failures = 0
-        self.passes = 0
-        self.done = False
-        #: True when the last resolve grew the window (and rolled the
-        #: speculated suffix back) — the batch tier's peel-off signal
-        self.window_grew = False
-        self._events: list[_BlockEvent] = []
-
-    # ------------------------------------------------------------------
-    # 1. speculate: simulate up to one block of passes, deferring evaluation
-    # ------------------------------------------------------------------
-    def speculate(self) -> None:
-        bench, cfg, machine = self.bench, self.cfg, self.machine
-        block = plan_block_size(
-            len(self.pair.measurements), self.rule, self.block_cap
-        )
+    cfg, machine = bench.config, bench.machine
+    kernel = phase1.kernel
+    target_stats = phase1.stats_for(target_mhz)
+    rule = cfg.stopping_rule()
+    pair = PairResult(
+        init_mhz=float(init_mhz), target_mhz=float(target_mhz), axis=cfg.axis
+    )
+    window_iters = _initial_window_iters(
+        bench, init_mhz, target_mhz, probe, kernel
+    )
+    growths = 0
+    consecutive_failures = 0
+    passes = 0
+    done = False
+    while not done:
+        # 1. Speculate: simulate up to one block of passes, deferring the
+        #    evaluation of each.
+        block = plan_block_size(len(pair.measurements), rule, block_cap)
         events: list[_BlockEvent] = []
-        spec_consecutive = self.consecutive_failures
-        spec_passes = self.passes
+        spec_consecutive = consecutive_failures
+        spec_passes = passes
         for _ in range(block):
             try:
                 raw = run_switch_benchmark(
-                    bench, self.init_mhz, self.target_mhz, self.kernel,
-                    self.window_iters, defer_timestamps=True,
+                    bench, init_mhz, target_mhz, kernel, window_iters,
+                    defer_timestamps=True,
                 )
             except MeasurementError:
                 spec_consecutive += 1
@@ -246,54 +218,42 @@ class PairBlockRunner:
 
             spec_consecutive = 0  # speculation assumes the pass evaluates ok
             events.append(_BlockEvent("raw", raw, machine.checkpoint()))
-        self._events = events
-        self.window_grew = False
 
-    @property
-    def pending_raws(self) -> list[RawSwitchData]:
-        """The speculated block's deferred measurement passes, in order."""
-        return [e.raw for e in self._events if e.kind == "raw"]
+        # 2. Batch: evaluate every speculated measurement pass in one sweep.
+        evaluations = iter(
+            _evaluate_deferred_block(
+                [e.raw for e in events if e.kind == "raw"],
+                bench, target_stats, cfg,
+            )
+        )
 
-    # ------------------------------------------------------------------
-    # 3. resolve: replay the scalar control flow over real outcomes
-    # ------------------------------------------------------------------
-    def resolve(self, evaluations) -> None:
-        """Walk the speculated block against its per-pass evaluations.
-
-        ``evaluations`` must hold one :class:`SwitchEvaluation` per entry
-        of :attr:`pending_raws`, in order — however they were computed
-        (single-pair block sweep or cross-pair group sweep).
-        """
-        cfg, machine, pair = self.cfg, self.machine, self.pair
-        events = self._events
-        self._events = []
-        evaluations = iter(evaluations)
+        # 3. Resolve: replay the scalar control flow over real outcomes.
         for index, event in enumerate(events):
             is_last = index == len(events) - 1
 
             if event.kind == "settle-fail":
                 pair.n_failed_attempts += 1
-                self.consecutive_failures += 1
-                if self.consecutive_failures >= cfg.max_consecutive_failures:
+                consecutive_failures += 1
+                if consecutive_failures >= cfg.max_consecutive_failures:
                     pair.skipped = True
                     pair.skip_reason = "initial-frequency-never-settled"
                     if not is_last:
                         machine.restore(event.checkpoint)
-                    self.done = True
+                    done = True
                     break
                 continue
 
             if event.kind == "throttle-power":
                 # Power events always terminate speculation, so the machine
                 # already sits at this event's checkpoint.
-                self.passes += 1
+                passes += 1
                 pair.skipped = True
                 pair.skip_reason = "power-throttled"
-                self.done = True
+                done = True
                 break
 
             if event.kind == "throttle-thermal":
-                self.passes += 1
+                passes += 1
                 drop = min(cfg.throttle_discard_count, len(pair.measurements))
                 if drop:
                     del pair.measurements[-drop:]
@@ -301,10 +261,10 @@ class PairBlockRunner:
                 continue
 
             # kind == "raw"
-            self.passes += 1
+            passes += 1
             ev = next(evaluations)
             if ev.ok:
-                self.consecutive_failures = 0
+                consecutive_failures = 0
                 raw = event.raw
                 pair.measurements.append(
                     SwitchingLatencyMeasurement(
@@ -312,80 +272,49 @@ class PairBlockRunner:
                         ts_acc=raw.ts_acc,
                         te_acc=float(ev.te_acc),
                         n_valid_sm=ev.n_valid_sm,
-                        window_iterations=self.window_iters,
+                        window_iterations=window_iters,
                         ground_truth_s=raw.ground_truth_latency_s,
                         ground_truth_outlier=raw.ground_truth_outlier,
                     )
                 )
-                if self.rule.should_stop(
-                    [m.latency_s for m in pair.measurements]
-                ):
+                if rule.should_stop([m.latency_s for m in pair.measurements]):
                     if not is_last:
                         machine.restore(event.checkpoint)
-                    self.done = True
+                    done = True
                     break
                 continue
 
             # Failed evaluation: scalar bookkeeping, then decide whether the
             # speculated suffix is still valid.
             pair.n_failed_attempts += 1
-            self.consecutive_failures += 1
-            if ev.window_too_short and self.growths < cfg.max_window_retries:
-                self.window_iters = int(
-                    math.ceil(self.window_iters * cfg.window_growth_factor)
+            consecutive_failures += 1
+            if ev.window_too_short and growths < cfg.max_window_retries:
+                window_iters = int(
+                    math.ceil(window_iters * cfg.window_growth_factor)
                 )
-                self.growths += 1
+                growths += 1
                 pair.n_window_growths += 1
-                self.consecutive_failures = 0
-                # The suffix ran with the stale window — divergence.
+                consecutive_failures = 0
+                # The suffix ran with the stale window — divergence: roll
+                # back and re-plan with the grown window.
                 if not is_last:
                     machine.restore(event.checkpoint)
-                self.window_grew = True
                 break
-            if self.consecutive_failures >= cfg.max_consecutive_failures:
+            if consecutive_failures >= cfg.max_consecutive_failures:
                 if not pair.measurements:
                     pair.skipped = True
                     pair.skip_reason = "no-viable-measurements"
                 if not is_last:
                     machine.restore(event.checkpoint)
-                self.done = True
+                done = True
                 break
             # Plain failure: consumes no draws and no time, so the
             # speculated suffix is exactly what the scalar loop would have
             # run next — keep walking, no rollback.
-            continue
 
-    # ------------------------------------------------------------------
-    def finalize(self) -> PairResult:
-        """The finished pair, with the Algorithm-3 outlier labelling."""
-        from repro.core.campaign import _MIN_FOR_OUTLIER_FILTER
-        from repro.clustering.adaptive import adaptive_dbscan
-
-        pair = self.pair
-        if len(pair.measurements) >= _MIN_FOR_OUTLIER_FILTER:
-            pair.outliers = adaptive_dbscan(
-                [m.latency_s for m in pair.measurements],
-                self.cfg.outlier_config,
-            )
-        return pair
-
-
-def measure_pair_blocked(
-    bench: BenchContext,
-    init_mhz: float,
-    target_mhz: float,
-    phase1,
-    probe,
-    block_cap: int,
-) -> PairResult:
-    """Pass-block batched equivalent of ``measure_pair_reference``."""
-    runner = PairBlockRunner(
-        bench, init_mhz, target_mhz, phase1, probe, block_cap
-    )
-    while not runner.done:
-        runner.speculate()
-        evaluations = _evaluate_deferred_block(
-            runner.pending_raws, bench, runner.target_stats, runner.cfg
+    # Algorithm-3 outlier labelling.
+    if len(pair.measurements) >= _MIN_FOR_OUTLIER_FILTER:
+        pair.outliers = adaptive_dbscan(
+            [m.latency_s for m in pair.measurements], cfg.outlier_config
         )
-        runner.resolve(evaluations)
-    return runner.finalize()
+    return pair

@@ -1,7 +1,7 @@
 """The campaign event stream: one typed, ordered result pipeline.
 
 Every execution tier — the strictly-serial loop, the process-pool engine,
-the warm-pool SoA batch tier, and journal-resume replay — produces the
+the warm worker pool, and journal-resume replay — produces the
 same stream of campaign events, and every consumer of campaign results is
 a *sink* attached to it.  The stream is the seam incremental consumers
 plug into: result accumulation

@@ -43,7 +43,6 @@ from repro.exec.engine import (
     CampaignExecutor,
     mp_context,
     run_campaign_parallel,
-    run_pair_batch,
     run_pair_job,
 )
 from repro.exec.faults import FaultAction, FaultInjected, FaultPlan
@@ -81,7 +80,6 @@ __all__ = [
     "pair_seed_sequence",
     "quarantine_results",
     "run_campaign_parallel",
-    "run_pair_batch",
     "run_pair_job",
     "run_units_inprocess",
     "run_units_pool",

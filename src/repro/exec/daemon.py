@@ -48,8 +48,7 @@ Segments are named ``<session>t<task id>`` so the driver can sweep the
 leavings of workers that died mid-send (:func:`repro.exec.shm.cleanup_segment`).
 
 Determinism is untouched: workers run the exact
-:func:`~repro.exec.worker.run_pair_job` /
-:func:`~repro.exec.worker.run_pair_batch` entry points, and results reach
+:func:`~repro.exec.worker.run_pair_job` entry point, and results reach
 the campaign event stream (:mod:`repro.core.stream`) as completion-order
 ``PairMeasured`` events whose grid indices let every sink reorder
 deterministically — a retried or duplicated unit reproduces its results
@@ -72,7 +71,6 @@ from repro.exec.jobs import CalibrationJob
 from repro.exec.worker import (
     calibrate_facet,
     fire_worker_faults,
-    run_pair_batch,
     run_pair_job,
 )
 from repro.exec.faults import fault_plan
@@ -97,7 +95,7 @@ def _daemon_main(ctrl, tasks, results, session: str) -> None:
         task = tasks.get()
         if task is None:
             break
-        task_id, key, jobs, batched = task
+        task_id, key, jobs = task
         try:
             while key not in payloads:
                 # The driver guarantees the install message is in flight.
@@ -127,10 +125,7 @@ def _daemon_main(ctrl, tasks, results, session: str) -> None:
                 results.put(("ok", task_id, ("pickle", out)))
                 continue
             fire_worker_faults(jobs, payload)
-            if batched:
-                out = run_pair_batch(jobs, payload, skeleton)
-            else:
-                out = [run_pair_job(job, payload, skeleton) for job in jobs]
+            out = [run_pair_job(job, payload, skeleton) for job in jobs]
             envelope = pack_results(out, name=f"{session}t{task_id}")
             config = getattr(payload, "config", None)
             plan = fault_plan(getattr(config, "inject_faults", None))
@@ -301,7 +296,6 @@ class WarmPool:
         self,
         payload,
         units,
-        batched: bool = True,
         policy=None,
         costs=None,
         guard=None,
@@ -310,10 +304,9 @@ class WarmPool:
     ) -> list:
         """Run job chunks on the pool; returns the flat result list.
 
-        ``units`` is a list of job lists (SoA chunks when ``batched``,
-        singletons otherwise), already in dispatch order.  Without a
-        ``policy`` this is the legacy unsupervised path: everything is
-        enqueued upfront and the first worker error raises.  With a
+        ``units`` is a list of job lists, already in dispatch order.
+        Without a ``policy`` this is the legacy unsupervised path:
+        everything is enqueued upfront and the first worker error raises.  With a
         :class:`~repro.exec.jobs.SupervisionPolicy` (plus optional
         per-unit ``costs``, a shutdown ``guard`` and an ``on_result``
         sink), dispatch is windowed and supervised — crash respawn +
@@ -361,7 +354,7 @@ class WarmPool:
             state.deadline = (
                 None if timeout is None else time.monotonic() + timeout
             )
-            self._tasks.put((task_id, key, state.jobs_for_attempt(), batched))
+            self._tasks.put((task_id, key, state.jobs_for_attempt()))
 
         def pump() -> None:
             while pending and not interrupted():
@@ -504,7 +497,7 @@ class WarmPool:
             task_id = self._next_task_id
             self._next_task_id += 1
             position[task_id] = len(position)
-            self._tasks.put((task_id, key, [job], False))
+            self._tasks.put((task_id, key, [job]))
         out: list = [None] * len(jobs)
         remaining = len(jobs)
         while remaining:

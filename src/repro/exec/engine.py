@@ -59,7 +59,7 @@ Fault tolerance
 ---------------
 Dispatch is **supervised** (:class:`~repro.exec.jobs.SupervisionPolicy`,
 with the generic retry/deadline/quarantine loops living in
-:mod:`repro.exec.supervise`): a unit (one job, or one SoA chunk) that
+:mod:`repro.exec.supervise`): a unit (one job) that
 crashes its worker, times out against its cost-model-derived deadline, or
 fails result transport is retried on a rebuilt pool with exponential
 backoff — announced as a :class:`~repro.core.stream.PairRetried` event —
@@ -130,11 +130,9 @@ from repro.exec.supervise import (
 from repro.exec.worker import (
     calibrate_facet,
     fire_worker_faults,
-    run_pair_batch,
     run_pair_job,
     worker_calibrate,
     worker_init,
-    worker_run_batch,
     worker_run_unit,
 )
 from repro.machine import Machine
@@ -145,7 +143,6 @@ __all__ = [
     "fire_worker_faults",
     "mp_context",
     "run_campaign_parallel",
-    "run_pair_batch",
     "run_pair_job",
 ]
 
@@ -324,25 +321,6 @@ class CampaignExecutor:
                     )
                 )
         return jobs, skips
-
-    def _batch_chunks(self, jobs: list[PairJob]) -> list[list[PairJob]]:
-        """Facet-homogeneous job chunks of at most ``pair_batch_size``.
-
-        Jobs arrive facet-major in index order, so chunking consecutive
-        runs keeps every chunk on one facet (one phase-1/probe pairing)
-        and its members in pair-index order.
-        """
-        size = self.config.pair_batch_size
-        chunks: list[list[PairJob]] = []
-        run: list[PairJob] = []
-        for job in jobs:
-            if run and (job.facet != run[-1].facet or len(run) >= size):
-                chunks.append(run)
-                run = []
-            run.append(job)
-        if run:
-            chunks.append(run)
-        return chunks
 
     def _calibrate_on_driver(
         self, bench_driver, facet_index: int, facet
@@ -562,24 +540,12 @@ class CampaignExecutor:
                 return None
         if not jobs:
             return []
-        # The SoA lockstep tier needs the pass-block pipeline underneath
-        # (its runners speculate in deferred blocks).
-        batching = (
-            self.config.pair_batch_size is not None
-            and self.config.pass_block_size is not None
-        )
         if self.pool is None and (self.workers == 1 or len(jobs) <= 1):
-            units = (
-                self._batch_chunks(jobs)
-                if batching
-                else [[job] for job in jobs]
-            )
+            units = [[job] for job in jobs]
             skeleton: dict = {}
 
             def measure(unit_jobs):
                 fire_worker_faults(unit_jobs, payload, in_process=True)
-                if batching:
-                    return run_pair_batch(unit_jobs, payload, skeleton)
                 return [
                     run_pair_job(job, payload, skeleton)
                     for job in unit_jobs
@@ -612,27 +578,15 @@ class CampaignExecutor:
         def job_cost(job: PairJob) -> float:
             return models[job.facet].cost(job.init_mhz, job.target_mhz)
 
-        if batching:
-            units = sorted(
-                self._batch_chunks(jobs),
-                key=lambda chunk: (
-                    -sum(job_cost(job) for job in chunk),
-                    chunk[0].index,
-                ),
-            )
-        else:
-            units = [
-                [job]
-                for job in sorted(
-                    jobs, key=lambda job: (-job_cost(job), job.index)
-                )
-            ]
+        units = [
+            [job]
+            for job in sorted(jobs, key=lambda job: (-job_cost(job), job.index))
+        ]
         costs = [sum(job_cost(job) for job in unit) for unit in units]
         if self.pool is not None:
             return self.pool.run_units(
                 payload,
                 units,
-                batched=batching,
                 policy=policy,
                 costs=costs,
                 guard=guard,
@@ -646,7 +600,7 @@ class CampaignExecutor:
             guard,
             on_result,
             workers=self.workers,
-            fn=worker_run_batch if batching else worker_run_unit,
+            fn=worker_run_unit,
             initializer=worker_init,
             initargs=(payload,),
             on_retry=on_retry,

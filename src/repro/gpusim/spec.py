@@ -25,7 +25,7 @@ SM clock steps         120           81          110
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -111,6 +111,16 @@ class GpuSpec:
                 f"{self.name}: power limits above the {self.tdp_watts:g} W "
                 f"TDP are not settable"
             )
+
+    def __getstate__(self) -> dict:
+        """Pickle state: the declared fields only.
+
+        The ``cached_property`` memos live in the instance ``__dict__``;
+        leaving them out keeps the pickled bytes — which campaign
+        fingerprints and warm-pool payload digests hash — independent of
+        which caches this process has already filled.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
     def supported_clocks_mhz(self) -> tuple[float, ...]:

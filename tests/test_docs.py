@@ -4,8 +4,9 @@ Everything the CI ``docs`` job enforces also runs here, so a PR cannot
 break the docs build without breaking the test suite: the markdown
 tree builds, every relative link and anchor resolves, ``docs/cli.md``
 names every parser flag, the events ordering contract is word-for-word
-identical to the :mod:`repro.core.stream` docstring, and the service
-package keeps 100% public docstring coverage.
+identical to the :mod:`repro.core.stream` docstring, every code path and
+``repro.*`` name the docs mention exists, and the service package keeps
+100% public docstring coverage.
 """
 
 import importlib.util
@@ -88,6 +89,20 @@ class TestCliReference:
         cli_md = (DOCS / "cli.md").read_text().replace("--pass-block", "")
         errors = docbuild.check_cli_flags(cli_md)
         assert any("--pass-block" in error for error in errors)
+
+
+class TestCodeReferences:
+    def test_stale_reference_is_caught(self):
+        text = (
+            "See `exec/soa.py`, `exec/daemon.py::WarmPool` and "
+            "`repro.exec.pool.WarmPool`.\n"
+        )
+        errors = docbuild.check_code_refs({DOCS / "architecture.md": text})
+        assert len(errors) == 2
+        assert any("exec/soa.py" in error for error in errors)
+        assert any("repro.exec.pool" in error for error in errors)
+        # The changelog records deleted code on purpose.
+        assert docbuild.check_code_refs({DOCS / "changelog.md": text}) == []
 
 
 class TestDocstringCoverage:

@@ -1,7 +1,5 @@
 """Warm daemon pool, shared-memory result channel, batch-aware cost model."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro import make_machine
@@ -40,16 +38,6 @@ class TestWarmPool:
         run_campaign_parallel(make_machine("A100", seed=3), cfg, pool=warm_pool)
         assert warm_pool.stats["payload_installs"] == installs
         assert warm_pool.stats["payload_hits"] == hits + 1
-
-    def test_batched_jobs_through_pool(self, warm_pool):
-        cfg = fast_config((705.0, 1095.0, 1410.0))
-        base = run_campaign_parallel(make_machine("A100", seed=11), cfg)
-        warm = run_campaign_parallel(
-            make_machine("A100", seed=11),
-            replace(cfg, pair_batch_size=4),
-            pool=warm_pool,
-        )
-        assert _campaign_fingerprint(warm) == _campaign_fingerprint(base)
 
     def test_worker_error_surfaces(self, warm_pool):
         with pytest.raises(RuntimeError, match="warm worker failed"):

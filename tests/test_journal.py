@@ -65,6 +65,21 @@ class TestFingerprint:
         )
         assert campaign_fingerprint(varied, bp) == base
 
+    def test_digest_pinned_across_config_field_removals(self):
+        # Journals written before an execution-only config field was
+        # removed must still resume: the digest of an unchanged campaign
+        # stays exactly what it was.
+        from repro.core.config import LatestConfig
+
+        bp = make_machine("A100", seed=0).blueprint
+        # Fill the spec's memoized ladders first: process history must not
+        # leak into the digest.
+        bp.gpu_model.nearest_supported_clock(1000.0)
+        bp.gpu_model.nearest_supported_power_limit(300.0)
+        assert campaign_fingerprint(
+            LatestConfig(frequencies=(705.0, 1410.0)), bp
+        ) == "5ff1ab1e356b8c33c5e87e6f8dac035c260341dd97f3d1462d3322ee3d9a42ea"
+
     def test_rejects_blueprintless_machine(self):
         with pytest.raises(ConfigError, match="blueprint"):
             campaign_fingerprint(_cfg(), None)

@@ -120,7 +120,7 @@ class TestCompletionOrderReordering:
         warm_rec = RecordingSink()
         run_campaign_parallel(
             make_machine("A100", seed=seed),
-            _axis_config(axis, pair_batch_size=2),
+            cfg,
             pool=warm_pool,
             sinks=(warm_rec,),
         )

@@ -2,7 +2,7 @@
 """Build and verify the documentation tree — no external doc toolchain.
 
 The container has no mkdocs/sphinx, so this is the whole docs build:
-a small markdown → HTML renderer plus the three checks that keep the
+a small markdown → HTML renderer plus the four checks that keep the
 docs honest:
 
 1. **Link check** — every relative link and ``#anchor`` in ``docs/``
@@ -15,6 +15,11 @@ docs honest:
 3. **Events contract** — the "Ordering & determinism contract" bullets
    in ``docs/events.md`` are word-for-word identical to the
    :mod:`repro.core.stream` module docstring.
+4. **Code references** — every backticked ``.py`` path (relative to the
+   repository root, ``src/`` or ``src/repro/``) and every backticked
+   ``repro.*`` dotted name in ``docs/`` and ``DESIGN.md`` resolves to a
+   real file or importable object.  ``docs/changelog.md`` is exempt: it
+   records history, including code that has since been deleted.
 
 Usage::
 
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import html
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -38,6 +44,7 @@ DOCS = REPO / "docs"
 
 __all__ = [
     "check_cli_flags",
+    "check_code_refs",
     "check_events_contract",
     "check_links",
     "collect_anchors",
@@ -188,16 +195,20 @@ def render_markdown(text: str, title: str = "") -> str:
 # ----------------------------------------------------------------------
 # checks
 # ----------------------------------------------------------------------
-def collect_anchors(text: str) -> set[str]:
-    """Every anchor a page exposes: heading slugs + explicit ids."""
-    anchors = set()
+def _prose_lines(text: str):
+    """Every line of a page outside fenced code blocks."""
     in_code = False
     for line in text.splitlines():
         if line.startswith("```"):
             in_code = not in_code
-            continue
-        if in_code:
-            continue
+        elif not in_code:
+            yield line
+
+
+def collect_anchors(text: str) -> set[str]:
+    """Every anchor a page exposes: heading slugs + explicit ids."""
+    anchors = set()
+    for line in _prose_lines(text):
         m = re.match(r"(#{1,6}) (.*)", line)
         if m:
             anchors.add(_slug(m.group(2)))
@@ -208,13 +219,7 @@ def collect_anchors(text: str) -> set[str]:
 
 def _links(text: str):
     """(target, anchor) of every markdown link, code blocks excluded."""
-    in_code = False
-    for line in text.splitlines():
-        if line.startswith("```"):
-            in_code = not in_code
-            continue
-        if in_code:
-            continue
+    for line in _prose_lines(text):
         for part in re.split(r"(``[^`]+``|`[^`]+`)", line):
             if part.startswith("`"):
                 continue
@@ -324,6 +329,55 @@ def check_events_contract(events_md: str) -> list[str]:
     return []
 
 
+#: a backticked source path, optionally with a ``::name`` suffix
+_PATH_REF = re.compile(r"[\w./-]*\w\.py(?!\w)")
+#: a backticked dotted name under the package, e.g. ``repro.core.stream``
+_NAME_REF = re.compile(r"repro(?:\.\w+)+")
+
+
+def _name_resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names an importable module or an attribute of one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def _code_spans(text: str):
+    """Contents of every inline code span, fenced code blocks excluded."""
+    for line in _prose_lines(text):
+        for m in re.finditer(r"``([^`]+)``|`([^`]+)`", line):
+            yield m.group(1) or m.group(2)
+
+
+def check_code_refs(pages: "dict[Path, str]") -> list[str]:
+    """Backticked source paths and ``repro.*`` names that do not resolve."""
+    errors = []
+    roots = (REPO, REPO / "src", REPO / "src" / "repro")
+    for path, text in pages.items():
+        if path.name == "changelog.md":
+            continue
+        for span in _code_spans(text):
+            for token in span.split():
+                m = _PATH_REF.match(token)
+                if m and not token.startswith("/"):
+                    if not any((root / m.group()).is_file() for root in roots):
+                        errors.append(f"{path}: no such file `{m.group()}`")
+                    continue
+                m = _NAME_REF.match(token)
+                if m and not _name_resolves(m.group()):
+                    errors.append(f"{path}: `{m.group()}` does not resolve")
+    return errors
+
+
 # ----------------------------------------------------------------------
 def main(argv: "list[str] | None" = None) -> int:
     """Build the docs tree and run every check; 0 only when all pass."""
@@ -346,6 +400,7 @@ def main(argv: "list[str] | None" = None) -> int:
     errors = check_links(pages)
     errors += check_cli_flags(pages[DOCS / "cli.md"])
     errors += check_events_contract(pages[DOCS / "events.md"])
+    errors += check_code_refs(pages)
 
     if not options.check:
         out = Path(options.out)
@@ -371,7 +426,9 @@ def main(argv: "list[str] | None" = None) -> int:
     if errors:
         print(f"{len(errors)} docs error(s)", file=sys.stderr)
         return 1
-    print("docs checks passed (links, cli flags, events contract)")
+    print(
+        "docs checks passed (links, cli flags, events contract, code refs)"
+    )
     return 0
 
 
