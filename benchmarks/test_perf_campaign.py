@@ -9,6 +9,12 @@ with a 4-process pool
 ``BENCH_campaign.json`` at the repository root, so later PRs have a
 recorded perf baseline to not regress.
 
+``test_campaign_throughput_baseline`` also gates a ratio that holds on
+any host: the batched pass-block wall clock may be at most
+``_MAX_BATCHED_VS_SCALAR`` times the scalar engine's wall clock from the
+same run (both best-of-``_REPEATS``).  The ratio is recorded in the bench
+JSON either way.
+
 ``test_perf_floor_gate`` additionally enforces the committed floor in
 ``benchmarks/perf_floor.json`` on the 1-CPU reference container: the
 batched mode failing more than the recorded tolerance below its floor
@@ -50,6 +56,8 @@ PERF_FLOOR_JSON = Path(__file__).resolve().parent / "perf_floor.json"
 _SEED = 42
 _FREQUENCIES = (705.0, 975.0, 1215.0, 1410.0)
 _REPEATS = 5
+#: relative gate: batched wall / scalar engine wall, same run and host
+_MAX_BATCHED_VS_SCALAR = 1.10
 #: engine_workers_1 measurements/s recorded by PR 1 (the perf baseline
 #: the batched pipeline is scored against)
 _BASELINE_ENGINE_1 = 448.23
@@ -158,6 +166,12 @@ def test_campaign_throughput_baseline():
         "batched_speedup_vs_engine_1": round(
             engine1["wall_s"] / batched["wall_s"], 3
         ),
+        "batched_vs_scalar_gate": {
+            "batched_wall_over_engine_1_wall": round(
+                batched["wall_s"] / engine1["wall_s"], 3
+            ),
+            "max_ratio": _MAX_BATCHED_VS_SCALAR,
+        },
         "batched_speedup_vs_pr1_baseline": round(
             batched["measurements_per_s"] / _BASELINE_ENGINE_1, 3
         ),
@@ -175,6 +189,12 @@ def test_campaign_throughput_baseline():
     assert serial["wall_s"] < 30.0
     assert serial["measurements_per_s"] > 50.0
     assert batched["wall_s"] < 30.0
+    # Relative gate (binds on any host): the pass-block pipeline must not
+    # be slower than the scalar loop it replaces, beyond timing noise.
+    assert batched["wall_s"] <= _MAX_BATCHED_VS_SCALAR * engine1["wall_s"], (
+        f"batched pass-block wall {batched['wall_s']} s exceeds "
+        f"{_MAX_BATCHED_VS_SCALAR}x the scalar engine's {engine1['wall_s']} s"
+    )
 
 
 def test_journal_overhead(tmp_path):

@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OUT.pstats",
         help="profile the campaign under cProfile and write the stats to "
         "this path (inspect with python -m pstats or snakeviz); a "
-        "per-stage breakdown (phase1/probe/batch-step/stream) is "
-        "printed to stderr",
+        "per-stage breakdown (calibration/phase1/probe/batch-step/"
+        "simulate/materialize/evaluate/stream) is printed to stderr",
     )
     sim = parser.add_argument_group("simulated environment")
     sim.add_argument(

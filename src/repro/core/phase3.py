@@ -114,11 +114,10 @@ class SwitchEvaluation:
     @property
     def window_too_short(self) -> bool:
         """True when growing the switch window is the right remedy."""
-        bad = np.isin(
-            self.sm_status,
-            (SmStatus.NO_DETECTION, SmStatus.SHORT_TAIL, SmStatus.NO_POST_SWITCH),
+        status = self.sm_status
+        return bool(
+            ((status != SmStatus.OK) & (status != SmStatus.CONFIRMATION_FAILED)).all()
         )
-        return bool(bad.all())
 
 
 def detection_band(
@@ -135,140 +134,160 @@ def detection_band(
     raise ConfigError(f"unknown detection criterion {cfg.detection_criterion!r}")
 
 
-def _suffix_stats(diffs: np.ndarray, cut: np.ndarray, rows=None):
-    """Per-row mean/std/count of ``diffs[i, cut[i]:]`` without Python loops.
+def _tail_sums(diffs: np.ndarray, cut: np.ndarray, rows: np.ndarray):
+    """Per-row sum and sum of squares of ``diffs[i, cut[i]:]`` over ``rows``.
 
-    ``rows`` optionally restricts the computation to a row subset.  All
-    array work happens on the sub-matrix from the earliest cut onward —
-    the delay/detection prefix of the kernel (never part of any
-    confirmation tail) pays for nothing here.  Within the sub-matrix the
-    tail sums are totals minus gathered prefix cumulative sums, with the
-    squares buffer shared between the totals and the cumulative sums.
+    ``cut`` is the rows' cuts, already capped at ``n_iter``; ``rows`` is
+    non-empty and ascending.  All array work happens on the sub-matrix
+    from the earliest cut onward — the delay/detection prefix of the
+    kernel (never part of any confirmation tail) pays for nothing here.
+    Within the sub-matrix the tail sums are totals minus prefix
+    cumulative sums.  The earliest cut anchors those sums, so it is part
+    of the float-op sequence: callers pass exactly one pass's row set.
     """
-    if rows is None:
-        rows = np.arange(diffs.shape[0])
-    n_iter = diffs.shape[1]
-    cut = np.clip(cut, 0, n_iter)
-    n_tail = (n_iter - cut).astype(np.int64)
-    safe_n = np.maximum(n_tail, 1)
     n_rows = len(rows)
-    if n_rows == 0:
-        zero = np.zeros(0)
-        return zero, zero.copy(), n_tail
-
+    n_iter = diffs.shape[1]
     c0 = int(cut.min())
     if c0 >= n_iter:  # every tail empty
-        zero = np.zeros(n_rows)
-        return zero, zero.copy(), n_tail
+        return np.zeros(n_rows), np.zeros(n_rows)
 
     tail_width = n_iter - c0
-    sub = block_scratch("suffix_sub", (n_rows, tail_width))
-    np.take(diffs[:, c0:], rows, axis=0, out=sub)
+    if n_rows == diffs.shape[0]:
+        # Every row confirms (the common case): read the tail in place.
+        sub = diffs[:, c0:]
+    else:
+        sub = block_scratch("suffix_sub", (n_rows, tail_width))
+        np.take(diffs[:, c0:], rows, axis=0, out=sub)
     local_cut = cut - c0
     sq = block_scratch("suffix_sq", (n_rows, tail_width))
     np.multiply(sub, sub, out=sq)
     totals = sub.sum(axis=1)
     sq_totals = sq.sum(axis=1)
 
-    # Prefix sums are only gathered at cut-1, so the cumulative buffers
-    # stop at the largest cut — the confirmation tail (often most of the
-    # window) never pays for them.
+    # Prefix sums are only needed up to the largest cut, so the
+    # confirmation tail (often most of the window) never pays for them.
+    # Column c of ``prefix`` holds the sum of a row's first c elements
+    # (column 0 is the empty sum, for the rows cut at the anchor).
     n_prefix = int(local_cut.max())
-    gather = np.maximum(local_cut - 1, 0)[:, None]
     if n_prefix:
-        csum = np.cumsum(sub[:, :n_prefix], axis=1)
-        csq = np.cumsum(sq[:, :n_prefix], axis=1)
-        before = np.where(
-            local_cut > 0,
-            np.take_along_axis(csum, gather, axis=1).ravel(),
-            0.0,
-        )
-        before_sq = np.where(
-            local_cut > 0,
-            np.take_along_axis(csq, gather, axis=1).ravel(),
-            0.0,
-        )
-    else:
-        before = np.zeros(n_rows)
-        before_sq = np.zeros(n_rows)
+        prefix = block_scratch("suffix_prefix", (2, n_rows, n_prefix + 1))
+        prefix[:, :, 0] = 0.0
+        np.cumsum(sub[:, :n_prefix], axis=1, out=prefix[0, :, 1:])
+        np.cumsum(sq[:, :n_prefix], axis=1, out=prefix[1, :, 1:])
+        at = np.arange(n_rows)
+        totals -= prefix[0, at, local_cut]
+        sq_totals -= prefix[1, at, local_cut]
+    return totals, sq_totals
 
-    tail_sum = totals - before
-    tail_sq = sq_totals - before_sq
+
+def _tail_moments(tail_sum: np.ndarray, tail_sq: np.ndarray, n_tail: np.ndarray):
+    """Mean and std from tail sums (row-pure, so it batches across passes)."""
+    safe_n = np.maximum(n_tail, 1)
     mean = tail_sum / safe_n
     var = np.maximum(tail_sq - safe_n * mean * mean, 0.0) / np.maximum(
         safe_n - 1, 1
     )
-    return mean, np.sqrt(var), n_tail
+    return mean, np.sqrt(var)
+
+
+def _suffix_stats(diffs: np.ndarray, cut: np.ndarray):
+    """Per-row mean/std/count of ``diffs[i, cut[i]:]`` over every row."""
+    n_iter = diffs.shape[1]
+    cut = np.minimum(cut, n_iter)
+    n_tail = n_iter - cut
+    tail_sum, tail_sq = _tail_sums(diffs, cut, np.arange(diffs.shape[0]))
+    mean, std = _tail_moments(tail_sum, tail_sq, n_tail)
+    return mean, std, n_tail
 
 
 def _detect(raw: RawSwitchData, target_stats: SampleStats, cfg: LatestConfig):
-    """Shared detection stage: masks, first-detection indices, statuses."""
+    """Shared detection stage: masks and first-detection indices."""
     starts = raw.timestamps.starts
     ends = raw.timestamps.ends
     diffs = ends - starts
-    n_sm, n_iter = diffs.shape
+    n_iter = diffs.shape[1]
     ts = raw.ts_acc
 
     lo, hi = detection_band(target_stats, cfg)
 
     after = starts > ts
     candidate = after & (diffs >= lo) & (diffs <= hi)
-
-    status = np.full(n_sm, int(SmStatus.NO_DETECTION), dtype=np.int64)
     has_post = after.any(axis=1)
-    status[~has_post] = int(SmStatus.NO_POST_SWITCH)
-
     detected = candidate.any(axis=1)
     first = np.where(detected, np.argmax(candidate, axis=1), n_iter)
-    return diffs, ends, ts, status, has_post, detected, first
+    return diffs, ends, ts, has_post, detected, first
+
+
+def _status(
+    has_post: np.ndarray, detected: np.ndarray, short: np.ndarray
+) -> np.ndarray:
+    """Per-SM status before confirmation (any leading shape)."""
+    status = np.full(has_post.shape, int(SmStatus.NO_DETECTION), dtype=np.int64)
+    status[~has_post] = int(SmStatus.NO_POST_SWITCH)
+    status[detected] = int(SmStatus.CONFIRMATION_FAILED)
+    status[short] = int(SmStatus.SHORT_TAIL)
+    return status
 
 
 def _finish(
-    n_sm: int,
-    n_iter: int,
     ends: np.ndarray,
-    ts: float,
+    ts_list: "list[float]",
     status: np.ndarray,
     has_post: np.ndarray,
     detected: np.ndarray,
     short: np.ndarray,
     first: np.ndarray,
     valid: np.ndarray,
-) -> SwitchEvaluation:
-    """Shared epilogue: per-SM latencies and the overall outcome."""
+) -> list[SwitchEvaluation]:
+    """Shared epilogue over ``(n_pass, n_sm)`` arrays: per-SM latencies
+    and each pass's outcome.
+
+    Each pass's arrays in its :class:`SwitchEvaluation` are row views of
+    fresh block arrays (nothing here aliases scratch storage).
+    """
+    n_pass, n_sm, n_iter = ends.shape
     status[valid] = int(SmStatus.OK)
 
-    per_sm = np.full(n_sm, np.nan)
-    rows = np.flatnonzero(valid)
-    if rows.size:
-        # Point-indexed gather: valid only ever holds detected rows, whose
-        # first-index is in range.  (A take_along_axis over the full ends
-        # matrix broke whenever only a strict subset of SMs confirmed.)
-        te = ends[rows, first[rows]]
-        per_sm[rows] = te - ts
-        latency = float(np.nanmax(per_sm))
-        te_overall = float(ts + latency)
-        reason = "ok"
-    else:
-        latency = None
-        te_overall = None
-        if not has_post.any():
-            reason = "no-post-switch-iterations"
-        elif not detected.any():
-            reason = "no-detection"
-        elif (detected & ~short).any():
-            reason = "confirmation-failed"
-        else:
-            reason = "short-tail"
-
-    return SwitchEvaluation(
-        latency_s=latency,
-        te_acc=te_overall,
-        per_sm_latency_s=per_sm,
-        sm_status=status,
-        detection_indices=np.where(first < n_iter, first, -1),
-        reason=reason,
+    per_sm = np.full((n_pass, n_sm), np.nan)
+    b_idx, rows = np.nonzero(valid)
+    # Point-indexed gather: valid only ever holds detected rows, whose
+    # first-index is in range.
+    per_sm[b_idx, rows] = (
+        ends[b_idx, rows, first[b_idx, rows]] - np.asarray(ts_list)[b_idx]
     )
+    # NaN marks the SMs that did not confirm; fmax skips them.
+    latency = np.fmax.reduce(per_sm, axis=1).tolist()
+    any_valid = valid.any(axis=1).tolist()
+    detection = np.where(first < n_iter, first, -1)
+
+    evaluations = []
+    for b in range(n_pass):
+        if any_valid[b]:
+            latency_b = latency[b]
+            te_overall = ts_list[b] + latency_b
+            reason = "ok"
+        else:
+            latency_b = None
+            te_overall = None
+            if not has_post[b].any():
+                reason = "no-post-switch-iterations"
+            elif not detected[b].any():
+                reason = "no-detection"
+            elif (detected[b] & ~short[b]).any():
+                reason = "confirmation-failed"
+            else:
+                reason = "short-tail"
+        evaluations.append(
+            SwitchEvaluation(
+                latency_s=latency_b,
+                te_acc=te_overall,
+                per_sm_latency_s=per_sm[b],
+                sm_status=status[b],
+                detection_indices=detection[b],
+                reason=reason,
+            )
+        )
+    return evaluations
 
 
 def evaluate_switch(
@@ -276,45 +295,16 @@ def evaluate_switch(
     target_stats: SampleStats,
     cfg: LatestConfig,
 ) -> SwitchEvaluation:
-    """Run the phase-3 evaluation over all recorded SMs (vectorized)."""
-    diffs, ends, ts, status, has_post, detected, first = _detect(
-        raw, target_stats, cfg
-    )
-    n_sm, n_iter = diffs.shape
+    """Run the phase-3 evaluation over all recorded SMs (vectorized).
 
-    # Tail statistics start after the detected iteration; tail length is
-    # known without computing any statistics.
-    cut = first + 1
-    n_tail = (n_iter - np.clip(cut, 0, n_iter)).astype(np.int64)
-
-    short = detected & (n_tail < cfg.min_confirm_tail)
-    status[detected] = int(SmStatus.CONFIRMATION_FAILED)
-    status[short] = int(SmStatus.SHORT_TAIL)
-
-    # Confirmation: difference CI of (tail - target) includes zero, or the
-    # mean difference is inside the relative tolerance (Algorithm 2 l. 20),
-    # evaluated for every candidate SM at once.  Only candidate rows pay
-    # for suffix statistics.
-    confirm_rows = np.flatnonzero(detected & ~short)
-    valid = np.zeros(n_sm, dtype=bool)
-    if confirm_rows.size:
-        tail_mean, tail_std, tail_n = _suffix_stats(
-            diffs, cut[confirm_rows], rows=confirm_rows
-        )
-        # Variance via std*std (not the raw variance) to match the scalar
-        # reference path, which round-trips through SampleStats.
-        lb, hb = difference_ci_batch(
-            tail_mean, tail_std * tail_std, tail_n, target_stats, cfg.confidence
-        )
-        tol = cfg.tolerance_rel * target_stats.mean
-        ok = ((lb < 0.0) & (0.0 < hb)) | (
-            np.abs(tail_mean - target_stats.mean) < tol
-        )
-        valid[confirm_rows[ok]] = True
-
-    return _finish(
-        n_sm, n_iter, ends, ts, status, has_post, detected, short, first, valid
-    )
+    The single-pass case of :func:`evaluate_switch_block_deferred`'s
+    confirmation and epilogue, so both produce the same floats.
+    """
+    diffs, ends, ts, has_post, detected, first = _detect(raw, target_stats, cfg)
+    return _confirm_and_finish(
+        diffs[None], ends[None], [ts], has_post[None], detected[None],
+        first[None], target_stats, cfg,
+    )[0]
 
 
 #: detection scans run in column chunks of this many iterations with an
@@ -413,33 +403,36 @@ def _confirm_and_finish(
     """
     n_pass, n_sm, n_iter = diffs.shape
 
-    status = np.full((n_pass, n_sm), int(SmStatus.NO_DETECTION), dtype=np.int64)
-    status[~has_post] = int(SmStatus.NO_POST_SWITCH)
-
-    cut = first + 1
-    n_tail = (n_iter - np.clip(cut, 0, n_iter)).astype(np.int64)
+    cut = np.minimum(first + 1, n_iter)
+    n_tail = n_iter - cut
     short = detected & (n_tail < cfg.min_confirm_tail)
-    status[detected] = int(SmStatus.CONFIRMATION_FAILED)
-    status[short] = int(SmStatus.SHORT_TAIL)
+    status = _status(has_post, detected, short)
 
-    # Suffix statistics run per pass with exactly the per-pass row set and
-    # matrix slice the scalar ``evaluate_switch`` uses — the sub-matrix
-    # anchor (the pass-wide earliest cut) is part of the float-op sequence,
-    # so a block-wide anchor would produce ulp-different tail moments and
-    # break the bit-identity contract.  Only the Welch CI lookup, which is
-    # row-pure, batches across the whole block.
-    confirm = detected & ~short
-    per_pass_rows = [np.flatnonzero(confirm[b]) for b in range(n_pass)]
-    stats = [
-        _suffix_stats(diffs[b], cut[b][rows_b], rows=rows_b)
-        for b, rows_b in enumerate(per_pass_rows)
-        if rows_b.size
-    ]
+    # Tail sums run per pass with exactly the per-pass row set and matrix
+    # slice — the sub-matrix anchor (the pass-wide earliest cut) is part
+    # of the float-op sequence, so a block-wide anchor would produce
+    # ulp-different tail moments and break the bit-identity contract.
+    # Everything after the sums is row-pure and batches across the block.
     valid = np.zeros((n_pass, n_sm), dtype=bool)
-    if stats:
-        tail_mean = np.concatenate([s[0] for s in stats])
-        tail_std = np.concatenate([s[1] for s in stats])
-        tail_n = np.concatenate([s[2] for s in stats])
+    b_idx, rows = np.nonzero(detected & ~short)
+    if rows.size:
+        bounds = np.searchsorted(b_idx, np.arange(n_pass + 1)).tolist()
+        sums = [
+            _tail_sums(diffs[b], cut[b, rows[lo:hi]], rows[lo:hi])
+            for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if hi > lo
+        ]
+        tail_n = n_tail[b_idx, rows]
+        tail_mean, tail_std = _tail_moments(
+            np.concatenate([s[0] for s in sums]),
+            np.concatenate([s[1] for s in sums]),
+            tail_n,
+        )
+        # Confirmation (Algorithm 2 l. 20): the difference CI of (tail -
+        # target) includes zero, or the mean difference is inside the
+        # relative tolerance.  Variance via std*std (not the raw variance)
+        # to match the scalar reference path, which round-trips through
+        # SampleStats.
         lb, hb = difference_ci_batch(
             tail_mean, tail_std * tail_std, tail_n, target_stats, cfg.confidence
         )
@@ -447,27 +440,9 @@ def _confirm_and_finish(
         ok = ((lb < 0.0) & (0.0 < hb)) | (
             np.abs(tail_mean - target_stats.mean) < tol
         )
-        offset = 0
-        for b, rows_b in enumerate(per_pass_rows):
-            if rows_b.size:
-                valid[b, rows_b[ok[offset : offset + rows_b.size]]] = True
-                offset += rows_b.size
+        valid[b_idx[ok], rows[ok]] = True
 
-    return [
-        _finish(
-            n_sm,
-            n_iter,
-            ends[b],
-            ts_list[b],
-            status[b],
-            has_post[b],
-            detected[b],
-            short[b],
-            first[b],
-            valid[b],
-        )
-        for b in range(n_pass)
-    ]
+    return _finish(ends, ts_list, status, has_post, detected, short, first, valid)
 
 
 def evaluate_switch_reference(
@@ -482,16 +457,13 @@ def evaluate_switch_reference(
     equivalence tests can assert that the vectorized path produces
     identical statuses, latencies and reasons.
     """
-    diffs, ends, ts, status, has_post, detected, first = _detect(
-        raw, target_stats, cfg
-    )
-    n_sm, n_iter = diffs.shape
+    diffs, ends, ts, has_post, detected, first = _detect(raw, target_stats, cfg)
+    n_sm = diffs.shape[0]
 
     tail_mean, tail_std, n_tail = _suffix_stats(diffs, first + 1)
 
     short = detected & (n_tail < cfg.min_confirm_tail)
-    status[detected] = int(SmStatus.CONFIRMATION_FAILED)
-    status[short] = int(SmStatus.SHORT_TAIL)
+    status = _status(has_post, detected, short)
 
     confirm_rows = np.flatnonzero(detected & ~short)
     valid = np.zeros(n_sm, dtype=bool)
@@ -509,5 +481,6 @@ def evaluate_switch_reference(
             valid[i] = True
 
     return _finish(
-        n_sm, n_iter, ends, ts, status, has_post, detected, short, first, valid
-    )
+        ends[None], [ts], status[None], has_post[None], detected[None],
+        short[None], first[None], valid[None],
+    )[0]

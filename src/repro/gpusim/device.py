@@ -46,6 +46,7 @@ from repro.gpusim.sm import (
     merge_memory_segments,
     prepare_integration_from_boundaries,
     sample_iteration_cycles,
+    single_sm_completion,
 )
 from repro.gpusim.spec import GpuSpec
 from repro.gpusim.thermal import ThermalModel, ThermalState, ThrottleReasons
@@ -341,19 +342,13 @@ class GpuDevice:
         totals *= sigma_total
         totals += mean_total
         np.maximum(totals, 0.01 * mean_total, out=totals)
-        if n_sm == 1 and len(f_mhz) <= 2:
-            # Scalar fast path for the common filler shape (one SM, at
-            # most one frequency change ahead): a handful of float ops
-            # instead of the array integration pipeline.
-            t0 = float(starts[0])
-            total = float(totals[0])
-            f0 = float(f_mhz[0]) * 1e6
-            if len(f_mhz) == 1 or t0 + total / f0 <= float(tb[1]):
-                end = t0 + total / f0
-            else:
-                spent = (float(tb[1]) - t0) * f0
-                end = float(tb[1]) + (total - spent) / (float(f_mhz[1]) * 1e6)
-            return end + _KERNEL_EPILOGUE_S
+        if n_sm == 1:
+            # The common filler shape: plain-float integration instead of
+            # the array pipeline, the same result.
+            return (
+                single_sm_completion(tb, f_mhz, float(starts[0]), float(totals[0]))
+                + _KERNEL_EPILOGUE_S
+            )
         pending = prepare_integration_from_boundaries(
             tb, f_mhz, starts, totals[:, None]
         )

@@ -102,18 +102,11 @@ class PowerDomainSpec:
         return self.gpu_spec.nearest_supported_power_limits(limits_w)
 
 
-#: interior points of linspace(0, 1, n+2) for the handful of ramp step
-#: counts the staircase can draw — rebuilt arrays dominated ramp cost
-_RAMP_FRACTIONS: dict[int, np.ndarray] = {}
-
-
-def _ramp_fractions(n_steps: int) -> np.ndarray:
-    fracs = _RAMP_FRACTIONS.get(n_steps)
-    if fracs is None:
-        fracs = np.linspace(0, 1, n_steps + 2)[1:-1]
-        fracs.setflags(write=False)
-        _RAMP_FRACTIONS[n_steps] = fracs
-    return fracs
+#: ``1 - f`` for the interior points ``f`` of linspace(0, 1, n+2), per
+#: ramp step count the staircase can draw (``rng.integers(2, 6)``)
+_RAMP_REMAINING: dict[int, tuple[float, ...]] = {
+    n: tuple((1.0 - np.linspace(0, 1, n + 2)[1:-1]).tolist()) for n in range(2, 6)
+}
 
 
 @dataclass
@@ -299,17 +292,31 @@ class DvfsClockDomain:
         t_stable: float,
         adaptation_s: float,
     ) -> None:
-        """Insert the adaptation staircase ending exactly at ``t_stable``."""
+        """Insert the adaptation staircase ending exactly at ``t_stable``.
+
+        Every caller first drops the planned events after the request (or
+        after the idle drop), and every step lies after it, so the
+        ascending steps splice in as one batch at the first step's
+        bisection point — where inserting them one by one puts them.
+        """
         n_steps = int(self.rng.integers(2, 6))
+        times = [t_stable]
+        freqs = [target_mhz]
         if adaptation_s > 0.0 and n_steps > 0:
-            fracs = np.sort(self.rng.uniform(0.15, 0.9, size=n_steps))
-            times = t_stable - adaptation_s * (1.0 - _ramp_fractions(n_steps))
-            freqs = self.spec.nearest_supported_clocks(
-                init_mhz + (target_mhz - init_mhz) * fracs
+            # Plain-float forms of the staircase's small array expressions
+            # (the same operations, element by element).
+            fracs = sorted(self.rng.uniform(0.15, 0.9, size=n_steps).tolist())
+            span = target_mhz - init_mhz
+            levels = self.spec.nearest_supported_clocks(
+                [init_mhz + span * f for f in fracs]
             )
-            for f, ts in zip(freqs, times):
-                self._insert_event(float(ts), float(f))
-        self._insert_event(t_stable, target_mhz)
+            times = [
+                t_stable - adaptation_s * r for r in _RAMP_REMAINING[n_steps]
+            ] + times
+            freqs = levels.tolist() + freqs
+        i = bisect.bisect_right(self._event_times, times[0])
+        self._event_times[i:i] = times
+        self._event_freqs[i:i] = freqs
 
     # ------------------------------------------------------------------
     # load notifications (from the device)

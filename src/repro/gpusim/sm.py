@@ -13,9 +13,14 @@ so every iteration boundary can be computed in closed form::
     start[i, k] = end[i, k-1]                      (back-to-back)
 
 This is exact — iterations that straddle frequency changes are implicitly
-split across segments by the piecewise inversion — and runs as three numpy
-``searchsorted``/gather passes over the whole (SM × iteration) matrix with
-no Python-level loops.  A scalar reference implementation is provided for
+split across segments by the piecewise inversion.  The matrix inversion
+runs in three column blocks: cumulative rows are nondecreasing, so the
+columns every SM spends before the first frequency change and after the
+last one map through one scalar multiply+add each, and only the narrow
+ramp band between them pays for the per-element ``searchsorted``/gather.
+Untimed single-SM kernels (settle fillers) skip the arrays altogether
+through :func:`single_sm_completion`, a plain-float twin of the same
+arithmetic.  A scalar reference implementation is provided for
 property-based equivalence testing.
 
 Integration is split in two stages so the hot campaign path can defer the
@@ -34,6 +39,7 @@ float for float.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +57,7 @@ __all__ = [
     "prepare_integration",
     "prepare_integration_from_boundaries",
     "sample_iteration_cycles",
+    "single_sm_completion",
 ]
 
 
@@ -235,16 +242,16 @@ def _compile_trajectory(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Segment boundary times, frequencies (Hz) and cumulative cycles from t0."""
     segs = list(trajectory.iter_from(t0))
-    tb = np.array([s.t_start for s in segs] + [segs[-1].t_end], dtype=np.float64)
-    f_hz = np.array([s.freq_hz for s in segs], dtype=np.float64)
-    if np.any(f_hz <= 0):
+    tb = [s.t_start for s in segs] + [segs[-1].t_end]
+    f_hz = [s.freq_hz for s in segs]
+    if min(f_hz) <= 0:
         raise SimulationError("non-positive frequency in trajectory")
-    # Cumulative cycles at each boundary; the final (possibly infinite)
-    # segment contributes an infinite capacity.
-    spans = np.diff(tb)
-    seg_cycles = np.where(np.isinf(spans), np.inf, spans * f_hz)
-    g = np.concatenate([[0.0], np.cumsum(seg_cycles)])
-    return tb, f_hz, g
+    g = _cumulative_cycles(tb, f_hz)
+    return (
+        np.array(tb, dtype=np.float64),
+        np.array(f_hz, dtype=np.float64),
+        np.array(g, dtype=np.float64),
+    )
 
 
 @dataclass
@@ -292,12 +299,16 @@ class PendingIntegration:
         two element passes instead of three of each.
 
         ``rows_sorted=True`` asserts every row of a 2-D input is
-        nondecreasing (cumulative cycle rows always are): the segment of
-        each element is then found by bisecting the row against the
-        segment boundaries — ``O(n_seg log n)`` lookups per row instead of
-        ``O(n log n_seg)`` — and each contiguous run maps through the same
-        scalar multiply+add the gathered path applies elementwise, so the
-        results are bit-identical.
+        nondecreasing (cumulative cycle rows always are), so the matrix
+        splits into three column blocks.  The column-wise max is then
+        nondecreasing too: the columns whose max stays below ``g[1]`` are
+        entirely segment 0.  Likewise the columns whose column-wise min
+        reaches ``g[n_seg-1]`` are entirely the last segment.  Each of those
+        blocks maps through one scalar multiply+add; only the ramp band
+        between them — the columns some SM spends inside the frequency
+        staircase — pays for the per-element gather.  Every element gets
+        the same segment and the same two float operations as on the
+        gathered path, so the results are bit-identical.
         """
         n_seg = len(self.f_hz)
         inv_f = 1.0 / self.f_hz
@@ -311,20 +322,24 @@ class PendingIntegration:
             return c_abs
         if rows_sorted and c_abs.ndim == 2:
             # An element belongs to segment s when it reaches g[s] but not
-            # g[s+1] (``side="right"`` semantics of the gathered path:
-            # boundary-valued elements and elements past the last boundary
-            # land in the later/last segment, zero-capacity segments get
-            # empty runs).
-            for row in c_abs:
-                bounds = np.searchsorted(row, self.g[1:n_seg], side="left")
-                prev = 0
-                for s in range(n_seg):
-                    hi = int(bounds[s]) if s < n_seg - 1 else row.size
-                    if hi > prev:
-                        seg = row[prev:hi]
-                        seg *= inv_f[s]
-                        seg += shift[s]
-                        prev = hi
+            # g[s+1] (``side="right"`` semantics: boundary-valued elements
+            # land in the later segment, zero-capacity segments get none).
+            lo = int(np.searchsorted(c_abs.max(axis=0), self.g[1], side="left"))
+            hi = int(
+                np.searchsorted(c_abs.min(axis=0), self.g[n_seg - 1], side="left")
+            )
+            head = c_abs[:, :lo]
+            head *= inv_f[0]
+            head += shift[0]
+            tail = c_abs[:, hi:]
+            tail *= inv_f[n_seg - 1]
+            tail += shift[n_seg - 1]
+            if hi > lo:
+                band = c_abs[:, lo:hi]
+                j = np.searchsorted(self.g, band, side="right") - 1
+                np.clip(j, 0, n_seg - 1, out=j)
+                band *= inv_f[j]
+                band += shift[j]
             return c_abs
         shape = c_abs.shape
         flat = c_abs.reshape(-1)
@@ -406,21 +421,72 @@ def prepare_integration_from_boundaries(
     Consumes the segment form :meth:`DvfsClockDomain.compiled_segments`
     produces (boundary times with trailing ``inf``, per-segment MHz) —
     the hot path skips :class:`FrequencyTrajectory` object churn entirely.
-    The MHz→Hz scaling and the cumulative-cycle construction apply the
-    exact operations :func:`_compile_trajectory` applies, so both entries
-    produce identical floats for identical segments.  ``consume=True``
+    The MHz→Hz scaling is the trajectory's, and both entries build the
+    cumulative cycles with :func:`_cumulative_cycles`, so they produce
+    identical floats for identical segments.  ``consume=True``
     cumulates in place into the caller's ``cycles`` buffer (the device
     passes freshly drawn matrices it never rereads).
     """
     f_hz = f_mhz * 1e6
-    if np.any(f_hz <= 0):
+    f_list = f_hz.tolist()
+    if min(f_list) <= 0:
         raise SimulationError("non-positive frequency in trajectory")
-    spans = np.diff(tb)
-    seg_cycles = np.where(np.isinf(spans), np.inf, spans * f_hz)
-    g = np.concatenate([[0.0], np.cumsum(seg_cycles)])
+    g = np.array(_cumulative_cycles(tb.tolist(), f_list), dtype=np.float64)
     return _prepare_from_compiled(
         tb, f_hz, g, sm_start_times, cycles, consume=consume
     )
+
+
+def _cumulative_cycles(tb: list, f_hz: list) -> list:
+    """Cycle integral at each segment boundary, starting from 0.
+
+    A running sum, the order ``np.cumsum`` adds in; the infinite last span
+    gives an infinite last entry.  Both entries (:func:`prepare_integration`
+    and :func:`prepare_integration_from_boundaries`) and
+    :func:`single_sm_completion` build their tables here, so they agree
+    float for float.
+    """
+    g = [0.0]
+    acc = 0.0
+    for k, f in enumerate(f_hz):
+        acc += (tb[k + 1] - tb[k]) * f
+        g.append(acc)
+    return g
+
+
+def single_sm_completion(
+    tb: np.ndarray, f_mhz: np.ndarray, t0: float, total: float
+) -> float:
+    """Time one SM starting at ``t0`` retires ``total`` cycles.
+
+    The plain-float twin of
+    ``prepare_integration_from_boundaries(tb, f_mhz, [t0], [[total]])
+    .completion_true`` for the untimed single-SM kernels (settle fillers)
+    that dominate kernel counts: the same running-sum ``g``, ``bisect`` in
+    place of ``searchsorted`` and the same ``c * (1/f) + (tb - g*(1/f))``
+    map, so the result is the same float without the array pipeline.
+
+    Tables of at most two segments use a closed form (``t0 + total/f0``,
+    or the split at ``tb[1]``) that rounds differently from the twin in
+    the last ulp; the golden campaign hashes pin it.
+    """
+    n_seg = len(f_mhz)
+    if n_seg <= 2:
+        f0 = float(f_mhz[0]) * 1e6
+        if n_seg == 1 or t0 + total / f0 <= float(tb[1]):
+            return t0 + total / f0
+        spent = (float(tb[1]) - t0) * f0
+        return float(tb[1]) + (total - spent) / (float(f_mhz[1]) * 1e6)
+    tb = tb.tolist()
+    f_hz = [f * 1e6 for f in f_mhz.tolist()]
+    if min(f_hz) <= 0:
+        raise SimulationError("non-positive frequency in trajectory")
+    g = _cumulative_cycles(tb, f_hz)
+    i = min(bisect.bisect_right(tb, t0) - 1, n_seg - 1)
+    c = total + (g[i] + (t0 - tb[i]) * f_hz[i])
+    j = min(bisect.bisect_right(g, c) - 1, n_seg - 1)
+    inv_f = 1.0 / f_hz[j]
+    return c * inv_f + (tb[j] - g[j] * inv_f)
 
 
 def _prepare_from_compiled(

@@ -162,11 +162,17 @@ def synchronize_timers(
     t3 = t_gpu[2::3]
     t4 = t_host[3::3]
 
-    offsets = ((t2 - t1) + (t3 - t4)) / 2.0
-    delays = ((t4 - t1) - (t3 - t2)) / 2.0
-    # Minimum-delay filtering; argmin keeps the first minimum, matching
+    delays = (((t4 - t1) - (t3 - t2)) / 2.0).tolist()
+    # Minimum-delay filtering; index() keeps the first minimum, matching
     # the strict-less comparison of the original round-by-round loop.
-    best = int(np.argmin(delays))
+    # Only the winning round's offset is needed, so it is computed on
+    # plain floats (the same expression the array form evaluates).
+    shortest = min(delays)
+    best = delays.index(shortest)
+    t1b, t2b, t3b, t4b = (
+        float(t1[best]), float(t2[best]), float(t3[best]), float(t4[best])
+    )
+    offset = ((t2b - t1b) + (t3b - t4b)) / 2.0
 
     host.clock.advance_to(float(grid[-1]))
     # The grid bypassed HardwareClock.read() (pure conversions instead);
@@ -176,10 +182,10 @@ def synchronize_timers(
     host.os_clock.read()
     device.gpu_clock.read()
     return SyncResult(
-        cpu_sync=float(t1[best]),
-        acc_sync=float(t1[best] + offsets[best]),
-        offset=float(offsets[best]),
-        path_delay=float(delays[best]),
+        cpu_sync=t1b,
+        acc_sync=t1b + offset,
+        offset=offset,
+        path_delay=shortest,
         rounds=rounds,
-        delay_spread=float(np.ptp(delays)),
+        delay_spread=max(delays) - shortest,
     )

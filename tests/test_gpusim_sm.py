@@ -3,14 +3,17 @@ equivalence property tests."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.gpusim.sm import (
+    PendingIntegration,
     integrate_iterations,
     integrate_iterations_reference,
+    prepare_integration_from_boundaries,
     sample_iteration_cycles,
+    single_sm_completion,
 )
 from repro.gpusim.trajectory import FrequencyTrajectory
 from repro.simtime.clock import HardwareClock, VirtualClock
@@ -176,3 +179,146 @@ def test_total_cycles_conserved(seed):
                 if hi > lo:
                     executed += (hi - lo) * seg.freq_hz
         assert executed == pytest.approx(cycles[i].sum(), rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# bit-exactness of the fast paths
+# ----------------------------------------------------------------------
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _segment_table(capacities, f_hz, t_first=0.0):
+    """``(tb, f_hz, g)`` with the given per-segment cycle capacities (the
+    last segment is unbounded); zero capacities give empty segments."""
+    f_hz = np.asarray(f_hz, dtype=np.float64)
+    g = np.concatenate([[0.0], np.cumsum(capacities), [np.inf]])
+    tb = [t_first]
+    for cap, f in zip(capacities, f_hz):
+        tb.append(tb[-1] + cap / f)
+    return np.array(tb + [np.inf]), f_hz, g
+
+
+def _assert_band_inversion_exact(capacities, f_hz, c_abs):
+    tb, f_hz, g = _segment_table(capacities, f_hz, t_first=1.5)
+    n_seg = len(f_hz)
+    n_sm = c_abs.shape[0]
+    pending = PendingIntegration(
+        tb=tb, f_hz=f_hz, g=g,
+        sm_start_times=np.zeros(n_sm), g_start=np.zeros(n_sm),
+        cycles_cum=None, last_ends_true=np.empty(0),
+    )
+    # The elementwise gathered formula, one segment lookup per element.
+    inv_f = 1.0 / f_hz
+    shift = tb[:n_seg] - g[:n_seg] * inv_f
+    j = np.clip(np.searchsorted(g, c_abs, side="right") - 1, 0, n_seg - 1)
+    expected = c_abs * inv_f[j] + shift[j]
+    banded = pending._invert(c_abs.copy(), rows_sorted=True)
+    gathered = pending._invert(c_abs.copy())
+    assert np.array_equal(_bits(banded), _bits(expected))
+    assert np.array_equal(_bits(gathered), _bits(expected))
+
+
+@st.composite
+def sorted_rows_and_table(draw):
+    n_seg = draw(st.integers(2, 6))
+    capacities = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1.0, 1e6)),
+        min_size=n_seg - 1, max_size=n_seg - 1,
+    ))
+    f_hz = draw(st.lists(st.floats(1e8, 2e9), min_size=n_seg, max_size=n_seg))
+    g = np.concatenate([[0.0], np.cumsum(capacities)])
+    # Boundary-valued elements are drawn explicitly, the rest anywhere from
+    # before the first boundary to past the last one.
+    value = st.one_of(
+        st.sampled_from(g.tolist()), st.floats(0.0, float(g[-1]) * 1.5 + 1.0)
+    )
+    n_sm = draw(st.integers(1, 5))
+    n_cols = draw(st.integers(1, 30))
+    rows = [
+        sorted(draw(st.lists(value, min_size=n_cols, max_size=n_cols)))
+        for _ in range(n_sm)
+    ]
+    return capacities, f_hz, np.array(rows)
+
+
+@given(sorted_rows_and_table())
+@settings(max_examples=200, deadline=None)
+def test_band_inversion_bit_exact(case):
+    """The three-block banded inversion equals the per-element gathered
+    formula bit for bit on any nondecreasing rows."""
+    _assert_band_inversion_exact(*case)
+
+
+@pytest.mark.parametrize(
+    "capacities,rows",
+    [
+        # staggered rows with a ramp band in the middle
+        ([10.0, 10.0, 10.0], [[1, 5, 12, 25, 40], [3, 9, 18, 29, 35]]),
+        # every column inside the band
+        ([10.0, 10.0, 10.0], [[10, 15, 25], [12, 18, 29.5]]),
+        # empty band: each column all in segment 0 or all in the last
+        ([10.0, 10.0], [[1, 2, 40, 50], [3, 4, 35, 60]]),
+        # elements exactly on boundaries, including a zero-capacity segment
+        ([10.0, 0.0, 10.0], [[0, 10, 10, 20, 20], [10, 10, 20, 20, 30]]),
+        # zero-capacity first and last bounded segments
+        ([0.0, 10.0, 0.0], [[0, 0, 5, 10, 10, 11]]),
+        # a single row and a single column
+        ([10.0, 10.0], [[15.0]]),
+        ([10.0, 10.0], [[5.0], [15.0], [25.0]]),
+    ],
+)
+def test_band_inversion_edges(capacities, rows):
+    f_hz = [1e9, 7e8, 3e8, 1.3e9][: len(capacities) + 1]
+    _assert_band_inversion_exact(capacities, f_hz, np.array(rows, dtype=float))
+
+
+@given(
+    n_seg=st.integers(3, 8),
+    start=st.sampled_from(["boundary", "inside"]),
+    finish=st.sampled_from(["boundary", "free"]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_single_sm_completion_bit_exact(n_seg, start, finish, data):
+    """The plain-float filler completion equals the array pipeline's
+    completion bit for bit on tables of three or more segments."""
+    spans = data.draw(
+        st.lists(st.floats(1e-6, 1e-2), min_size=n_seg - 1, max_size=n_seg - 1)
+    )
+    f_mhz = np.array(
+        data.draw(st.lists(st.floats(100.0, 2000.0), min_size=n_seg, max_size=n_seg))
+    )
+    t_first = data.draw(st.floats(0.0, 100.0))
+    tb = np.concatenate([[t_first], t_first + np.cumsum(spans), [np.inf]])
+    if start == "boundary":
+        t0 = float(tb[data.draw(st.integers(0, n_seg - 1))])
+    else:
+        t0 = t_first + data.draw(st.floats(0.0, 1.0)) * (tb[n_seg - 1] - t_first)
+    if finish == "boundary":
+        probe = prepare_integration_from_boundaries(
+            tb, f_mhz, np.array([t0]), np.array([[1.0]])
+        )
+        g_start = float(probe.g_start[0])
+        later = [float(x) for x in probe.g[1:n_seg] if x > g_start]
+        assume(later)
+        total = data.draw(st.sampled_from(later)) - g_start
+    else:
+        total = data.draw(st.floats(1.0, 1e8))
+    expected = prepare_integration_from_boundaries(
+        tb, f_mhz, np.array([t0]), np.array([[total]])
+    ).completion_true
+    got = single_sm_completion(tb, f_mhz, t0, total)
+    assert _bits(got) == _bits(expected)
+
+
+def test_single_sm_completion_keeps_closed_form_for_short_tables():
+    """One- and two-segment tables keep the older closed form."""
+    t0, total = 0.25, 3.7e6
+    one = single_sm_completion(np.array([t0, np.inf]), np.array([1410.0]), t0, total)
+    assert _bits(one) == _bits(t0 + total / (1410.0 * 1e6))
+    tb = np.array([t0, t0 + 1e-3, np.inf])
+    f_mhz = np.array([1410.0, 705.0])
+    spent = (tb[1] - t0) * 1410.0 * 1e6
+    two = single_sm_completion(tb, f_mhz, t0, total)
+    assert _bits(two) == _bits(tb[1] + (total - spent) / (705.0 * 1e6))
