@@ -100,11 +100,20 @@ def merge_memory_segments(
     the union timeline whose per-segment frequency is the SM clock divided
     by the :func:`memory_stall_factor` of the concurrent memory clock —
     exactly what the piecewise cycle integrator needs for kernels whose
-    iteration time responds to both domains.
+    iteration time responds to both domains.  The timelines hold a handful
+    of segments, so the merge runs on plain floats: the same IEEE
+    operations as :func:`memory_stall_factor` without NumPy's per-call
+    overhead (dividing by the pinned 1.0 stall is the identity).
     """
     t_all, i_sm, i_mem = _union_segment_indices(tb, f_mhz, mem_tb, mem_f_mhz)
-    stall = memory_stall_factor(mem_f_mhz[i_mem], mem_ref_mhz, memory_intensity)
-    return np.append(t_all, np.inf), f_mhz[i_sm] / stall
+    f_sm, f_mem = f_mhz.tolist(), mem_f_mhz.tolist()
+    beta, ref = float(memory_intensity), float(mem_ref_mhz)
+    keep = 1.0 - beta
+    out = []
+    for a, b in zip(i_sm, i_mem):
+        f = f_mem[b]
+        out.append(f_sm[a] if f == ref else f_sm[a] / (keep + beta * (ref / f)))
+    return _as_segments(t_all, out)
 
 
 def merge_cap_segments(
@@ -122,7 +131,8 @@ def merge_cap_segments(
     the integrator consumes cycles at.
     """
     t_all, i_sm, i_cap = _union_segment_indices(tb, f_mhz, cap_tb, cap_mhz)
-    return np.append(t_all, np.inf), np.minimum(f_mhz[i_sm], cap_mhz[i_cap])
+    f_sm, caps = f_mhz.tolist(), cap_mhz.tolist()
+    return _as_segments(t_all, [min(f_sm[a], caps[b]) for a, b in zip(i_sm, i_cap)])
 
 
 def _union_segment_indices(
@@ -130,14 +140,22 @@ def _union_segment_indices(
     f_a: np.ndarray,
     tb_b: np.ndarray,
     f_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[int], list[int]]:
     """Union boundary timeline of two compiled segment sets, with the
     per-boundary segment index into each (the shared scaffolding of the
     merge functions above — boundary alignment lives in one place)."""
-    t_all = np.union1d(tb_a[:-1], tb_b[:-1])
-    i_a = np.clip(np.searchsorted(tb_a, t_all, side="right") - 1, 0, len(f_a) - 1)
-    i_b = np.clip(np.searchsorted(tb_b, t_all, side="right") - 1, 0, len(f_b) - 1)
+    a, b = tb_a.tolist(), tb_b.tolist()
+    t_all = sorted({*a[:-1], *b[:-1]})
+    last_a, last_b = len(f_a) - 1, len(f_b) - 1
+    i_a = [min(max(bisect.bisect_right(a, t) - 1, 0), last_a) for t in t_all]
+    i_b = [min(max(bisect.bisect_right(b, t) - 1, 0), last_b) for t in t_all]
     return t_all, i_a, i_b
+
+
+def _as_segments(t_all: list[float], f: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary list plus trailing ``+inf`` and frequencies, as arrays."""
+    t_all.append(np.inf)
+    return np.array(t_all, dtype=np.float64), np.array(f, dtype=np.float64)
 
 
 @dataclass

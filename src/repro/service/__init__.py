@@ -11,8 +11,8 @@ multi-tenant service (ROADMAP item 1).  The layering, bottom to top:
 :mod:`repro.service.scheduler`
     :class:`DeficitRoundRobin` — the pure, synchronous fair-share core —
     wrapped by :class:`FairShareScheduler`, the asyncio dispatch loop
-    that multiplexes shard execution over one shared
-    :class:`WorkerFleet` of executor threads.
+    that multiplexes shard execution over the slots of one shared
+    :class:`WorkerFleet` and its single measurement thread.
 :mod:`repro.service.bridge`
     :class:`EventBroadcast` + :class:`QueueBridgeSink` — the
     thread-safe bridge that republishes each campaign's typed

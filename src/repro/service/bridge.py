@@ -2,13 +2,14 @@
 
 The execution side of the service emits typed :mod:`repro.core.stream`
 events from whatever thread is doing the work — ``prepare``/``finish``
-run in an executor thread, per-shard results are emitted from the event
-loop.  :class:`QueueBridgeSink` is the :class:`~repro.core.stream.
-CampaignSink` that carries those events onto the loop: every
-``on_event`` marshals through ``loop.call_soon_threadsafe`` (safe from
-both loop and non-loop threads, FIFO per caller), where the
-:class:`EventBroadcast` appends to the campaign's history and fans out
-to every subscriber's :class:`asyncio.Queue`.
+run on the fleet's measurement thread, per-shard results are emitted
+from the event loop.  :class:`QueueBridgeSink` is the
+:class:`~repro.core.stream.CampaignSink` that carries those events onto
+the loop: every ``on_event`` marshals through
+``loop.call_soon_threadsafe`` (safe from both loop and non-loop threads,
+FIFO per caller), where the :class:`EventBroadcast` appends to the
+campaign's history and fans out to every subscriber's
+:class:`asyncio.Queue`.
 
 Subscribers may attach at any time: :meth:`EventBroadcast.subscribe`
 preloads the new queue with the full history, so a late ``events``

@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="worker-fleet slots shared by all campaigns (default 2)",
+        help="shard slots shared by all campaigns: the in-flight bound; "
+        "every shard runs on the one measurement thread (default 2)",
     )
     serve.add_argument(
         "--journal-root",

@@ -17,9 +17,9 @@ Two layers, deliberately separated:
 
 :class:`FairShareScheduler`
     The asyncio wrapper: an event-loop dispatch task that waits for a
-    fleet slot (:class:`WorkerFleet`, a bounded thread pool), asks the
-    DRR core which shard goes next, and runs the shard's callable in an
-    executor thread — so scheduling decisions happen at slot-grant
+    fleet slot (:class:`WorkerFleet`), asks the DRR core which shard
+    goes next, and hands the shard's callable to the fleet's one
+    measurement thread — so scheduling decisions happen at slot-grant
     time, under whatever mix of campaigns is queued *then*, while the
     event loop never blocks on measurement work.
 
@@ -54,15 +54,16 @@ class Shard:
 
     The service builds shards as facet-homogeneous chunks of a
     campaign's :class:`~repro.exec.jobs.PairJob` grid; ``fn`` measures
-    the chunk (in a fleet thread) and returns its results.  The DRR
-    core only reads ``queue`` and ``cost``.
+    the chunk (on the fleet's measurement thread) and returns its
+    results.  The DRR core only reads ``queue`` and ``cost``.
     """
 
     #: tenant queue the shard bills against
     queue: str
     #: expected virtual cost (probe cost model), the DRR currency
     cost: float
-    #: the work itself, run on a fleet thread (``None`` in pure tests)
+    #: the work itself, run on the measurement thread (``None`` in pure
+    #: tests)
     fn: Callable | None = None
     #: submission sequence number (stable ordering/debugging aid)
     seq: int = 0
@@ -181,14 +182,21 @@ class DeficitRoundRobin:
 
 
 class WorkerFleet:
-    """The shared measurement fleet: a bounded thread pool.
+    """The shared measurement fleet: ``slots`` shard slots, one thread.
 
-    ``slots`` bounds both the pool size and the scheduler's in-flight
-    shard count — every campaign in the service multiplexes over these
-    threads, which is exactly what makes fair-share scheduling
-    meaningful.  Measurement work is simulation-bound Python, so the
-    fleet also serves as the service's concurrency throttle rather than
-    a parallel speedup device.
+    Measurement is interpreter-bound Python plus small NumPy calls, so
+    two threads only contend for the interpreter lock: on a 2-CPU host a
+    second thread made the same service work take 10–25% more wall time
+    and 30–45% more CPU.  Every piece of CPU-bound service work — campaign
+    prepare, every shard, campaign finish — therefore runs on the one
+    ``repro-fleet`` thread behind :attr:`executor`, in submission
+    (FIFO) order.
+
+    ``slots`` is the scheduler's in-flight shard bound.  A shard granted
+    a slot while the thread is busy waits in the thread's queue; the
+    DRR decision was already made at grant time.  A second slot keeps
+    the next shard on deck, so the thread does not idle while the event
+    loop is busy (a journal fsync, say).
     """
 
     def __init__(self, slots: int = 2) -> None:
@@ -196,11 +204,11 @@ class WorkerFleet:
             raise ConfigError(f"fleet needs >= 1 slot, got {slots}")
         self.slots = slots
         self.executor = ThreadPoolExecutor(
-            max_workers=slots, thread_name_prefix="repro-fleet"
+            max_workers=1, thread_name_prefix="repro-fleet"
         )
 
     def close(self) -> None:
-        """Shut the pool down, waiting for in-flight work."""
+        """Shut the thread down, waiting for queued and in-flight work."""
         self.executor.shutdown(wait=True)
 
 

@@ -6,22 +6,30 @@ CampaignRequest` becomes one campaign task on the event loop that walks
 the engine's prepare → dispatch → finish seam
 (:class:`~repro.exec.engine.PreparedCampaign`):
 
-1. **Prepare** runs in an executor thread (calibration is real
-   simulation work; the loop never blocks): emits ``CampaignStarted``,
+1. **Prepare** runs on the fleet's measurement thread (calibration is
+   real simulation work; the loop never blocks): emits ``CampaignStarted``,
    ``FacetPrepared`` (through the shared calibration cache when one is
    configured), ``PairSkipped``, and journal replays.
 2. **Dispatch**: the remaining jobs are cut into facet-homogeneous
    shards, costed with the engine's probe cost model, and submitted to
    the :class:`~repro.service.scheduler.FairShareScheduler` — the
    deficit-round-robin core multiplexes every live campaign's shards
-   over one shared :class:`~repro.service.scheduler.WorkerFleet`, so
-   concurrent tenants progress in proportion to their weights.  Each
+   over the slots of one shared
+   :class:`~repro.service.scheduler.WorkerFleet`, so concurrent tenants
+   progress in proportion to their weights.  Each
    shard measures through the engine's supervised in-process unit path
    (:func:`~repro.exec.supervise.run_units_inprocess` over
    :func:`~repro.exec.worker.run_pair_job`), so retries and quarantine
    behave exactly as engine dispatch.
-3. **Finish** (executor thread again) sums virtual costs in grid-index
-   order and assembles the :class:`~repro.core.results.CampaignResult`.
+3. **Finish** (measurement thread again) sums virtual costs in
+   grid-index order and assembles the
+   :class:`~repro.core.results.CampaignResult`.
+
+All three stages share the fleet's single measurement thread, so at most
+one piece of CPU-bound service work runs at a time and the event loop
+thread keeps only I/O and bookkeeping (event fan-out, journal appends,
+status).  Measurement is interpreter-bound, so more threads would only
+contend for the interpreter lock.
 
 Because pair measurement is a pure function of ``(blueprint, config,
 grid index)`` and the clock advance is index-ordered, *any*
@@ -178,8 +186,10 @@ class CampaignService:
     Parameters
     ----------
     fleet_size:
-        Worker-fleet slots shared by every campaign (the fair-share
-        multiplexing width).
+        Shard slots shared by every campaign: the scheduler's in-flight
+        bound (the fair-share multiplexing width).  All slots feed the
+        fleet's one measurement thread; a second slot keeps the next
+        shard queued behind the running one.
     journal_root:
         Directory holding one journal per campaign.  Enables durable
         progress and :meth:`start`-time crash recovery; ``None`` runs
@@ -312,7 +322,7 @@ class CampaignService:
         Returns ``True`` if the campaign was cancelled, ``False`` if it
         had already reached a terminal state.  Cancellation is
         cooperative at shard granularity: in-flight shards finish on
-        their worker threads (their results are discarded), pending
+        the measurement thread (their results are discarded), pending
         shards never run, and the journal keeps everything measured so
         far — a journaled cancelled campaign resumes on restart.
         """
@@ -400,7 +410,7 @@ class CampaignService:
             campaign.resumed = resume
 
             def prepare_stage():
-                """Machine build + journal open + engine prepare (thread)."""
+                """Machine build, journal open, engine prepare (on the fleet)."""
                 machine = request.build_machine()
                 config = request.build_config(
                     calibration_cache=self.calibration_cache
@@ -447,8 +457,8 @@ class CampaignService:
             policy = SupervisionPolicy.from_config(executor.config)
             payload = prep.payload
             #: per-campaign replica-skeleton cache, shared by this
-            #: campaign's shards only (values are deterministic per key,
-            #: so concurrent shard threads at worst duplicate work)
+            #: campaign's shards only (values are deterministic per key;
+            #: the shards run one at a time on the measurement thread)
             skeleton: dict = {}
 
             def shard_fn(shard_jobs):
@@ -535,10 +545,10 @@ class CampaignService:
                 interrupted = True
             if interrupted:
                 # Cooperative cancel: pending shards never run; shards
-                # already on a worker thread finish there but their
-                # results are dropped (the journal only holds pairs
-                # whose events were emitted — resume re-measures the
-                # rest bit-identically).
+                # already handed to the measurement thread finish there
+                # but their results are dropped (the journal only holds
+                # pairs whose events were emitted — resume re-measures
+                # the rest bit-identically).
                 for future in pending:
                     future.cancel()
                 dispatch.interrupt()

@@ -10,13 +10,19 @@ bit-identity across worker counts.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import make_machine, run_campaign
 from repro.analysis.heatmap import heatmaps_by_memory
 from repro.analysis.summary import summarize_by_memory
 from repro.core.sweep import sweep_models
 from repro.errors import ConfigError, MeasurementError
-from repro.gpusim.sm import memory_stall_factor, merge_memory_segments
+from repro.gpusim.sm import (
+    memory_stall_factor,
+    merge_cap_segments,
+    merge_memory_segments,
+)
 from repro.gpusim.spec import A100_SXM4, GH200, RTX_QUADRO_6000
 from tests.conftest import fast_config
 
@@ -72,6 +78,119 @@ class TestStallModel:
         assert out_tb.tolist() == [0.0, 2.0, np.inf]
         assert out_f[0] == 1000.0  # reference clock: exactly untouched
         assert out_f[1] == pytest.approx(1000.0 / (0.5 + 0.5 * 1215.0 / 810.0))
+
+
+# ----------------------------------------------------------------------
+# plain-float segment merges against their NumPy forms
+# ----------------------------------------------------------------------
+MEM_REF = 1215.0
+
+
+def _union_segment_indices_oracle(tb_a, f_a, tb_b, f_b):
+    t_all = np.union1d(tb_a[:-1], tb_b[:-1])
+    i_a = np.clip(np.searchsorted(tb_a, t_all, side="right") - 1, 0, len(f_a) - 1)
+    i_b = np.clip(np.searchsorted(tb_b, t_all, side="right") - 1, 0, len(f_b) - 1)
+    return t_all, i_a, i_b
+
+
+def merge_memory_segments_oracle(tb, f_mhz, mem_tb, mem_f_mhz, beta, ref):
+    t_all, i_sm, i_mem = _union_segment_indices_oracle(tb, f_mhz, mem_tb, mem_f_mhz)
+    stall = memory_stall_factor(mem_f_mhz[i_mem], ref, beta)
+    return np.append(t_all, np.inf), f_mhz[i_sm] / stall
+
+
+def merge_cap_segments_oracle(tb, f_mhz, cap_tb, cap_mhz):
+    t_all, i_sm, i_cap = _union_segment_indices_oracle(tb, f_mhz, cap_tb, cap_mhz)
+    return np.append(t_all, np.inf), np.minimum(f_mhz[i_sm], cap_mhz[i_cap])
+
+
+def _assert_same_bits(got, expected):
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype == np.float64
+        assert g.shape == e.shape
+        assert np.array_equal(g.view(np.uint64), e.view(np.uint64))
+
+
+#: boundary times both timelines draw from, so boundaries often coincide
+SHARED_TIMES = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+@st.composite
+def segment_timeline(draw, freq):
+    """A compiled timeline: 1-8 increasing boundaries, trailing ``+inf``."""
+    time = st.one_of(st.sampled_from(SHARED_TIMES), st.floats(0.0, 4.0))
+    times = sorted(set(draw(st.lists(time, min_size=1, max_size=8))))
+    freqs = draw(st.lists(freq, min_size=len(times), max_size=len(times)))
+    return np.array([*times, np.inf]), np.array(freqs, dtype=np.float64)
+
+
+SM_FREQ = st.one_of(
+    st.sampled_from([705.0, 1095.0, 1410.0]), st.floats(100.0, 2000.0)
+)
+#: the reference memory clock anywhere in the timeline, plus other clocks
+MEM_FREQ = st.one_of(
+    st.sampled_from([MEM_REF, MEM_REF, 810.0, 405.0]), st.floats(100.0, 1600.0)
+)
+#: caps equal to, below and above the SM clocks
+CAP_FREQ = st.one_of(
+    st.sampled_from([705.0, 1095.0, 1410.0]), st.floats(50.0, 2500.0)
+)
+BETA = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestPlainFloatMerge:
+    @given(
+        sm=segment_timeline(SM_FREQ), mem=segment_timeline(MEM_FREQ), beta=BETA
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_memory_merge_bit_exact(self, sm, mem, beta):
+        args = (*sm, *mem, beta, MEM_REF)
+        _assert_same_bits(
+            merge_memory_segments(*args), merge_memory_segments_oracle(*args)
+        )
+
+    @given(sm=segment_timeline(SM_FREQ), cap=segment_timeline(CAP_FREQ))
+    @settings(max_examples=300, deadline=None)
+    def test_cap_merge_bit_exact(self, sm, cap):
+        args = (*sm, *cap)
+        _assert_same_bits(merge_cap_segments(*args), merge_cap_segments_oracle(*args))
+
+    @pytest.mark.parametrize(
+        "tb,f,mem_tb,mem_f",
+        [
+            # one memory segment at the reference clock
+            ([0.0, 1.0, np.inf], [1410.0, 705.0], [0.0, np.inf], [MEM_REF]),
+            # reference clock in the middle of the memory timeline
+            (
+                [0.0, np.inf], [1095.0],
+                [0.0, 1.0, 2.0, np.inf], [810.0, MEM_REF, 405.0],
+            ),
+            # every boundary shared
+            (
+                [0.5, 1.0, 2.0, np.inf], [705.0, 1095.0, 1410.0],
+                [0.5, 1.0, 2.0, np.inf], [405.0, 810.0, MEM_REF],
+            ),
+            # memory timeline starting before the SM one
+            ([1.0, np.inf], [1410.0], [0.0, 1.5, np.inf], [810.0, MEM_REF]),
+        ],
+    )
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    def test_memory_merge_edges(self, tb, f, mem_tb, mem_f, beta):
+        args = (np.array(tb), np.array(f), np.array(mem_tb), np.array(mem_f))
+        _assert_same_bits(
+            merge_memory_segments(*args, beta, MEM_REF),
+            merge_memory_segments_oracle(*args, beta, MEM_REF),
+        )
+
+    @pytest.mark.parametrize(
+        "caps", [[500.0, 2000.0], [1410.0, 705.0], [705.0, 1410.0]]
+    )
+    def test_cap_merge_edges(self, caps):
+        args = (
+            np.array([0.0, 1.0, np.inf]), np.array([1410.0, 705.0]),
+            np.array([0.0, 0.5, np.inf]), np.array(caps),
+        )
+        _assert_same_bits(merge_cap_segments(*args), merge_cap_segments_oracle(*args))
 
 
 class TestDeviceMemoryDomain:

@@ -14,6 +14,7 @@ calibration cache.
 
 import asyncio
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from repro import make_machine, run_campaign
 from repro.core.stream import FacetPrepared, PairMeasured
 from repro.errors import ConfigError, ServiceUnavailable
+from repro.exec.engine import CampaignExecutor
 from repro.service.client import ServiceClient, SocketClient
 from repro.service.requests import CampaignRequest
 from repro.service.server import ServiceServer, event_to_wire
@@ -171,6 +173,68 @@ class TestConcurrentBitIdentity:
                 _campaign_fingerprint(ref)
             ), f"shard_pairs={shard_pairs} diverged"
             assert result.wall_virtual_s == ref.wall_virtual_s
+
+
+class TestMeasurementThread:
+    def test_prepare_shards_and_finish_share_one_thread(self, monkeypatch):
+        """Every stage of concurrent campaigns runs on one thread, one at
+        a time, however many slots the fleet has."""
+        from repro.service import service as service_mod
+
+        lock = threading.Lock()
+        idents: dict[str, set] = {"prepare": set(), "shard": set(), "finish": set()}
+        running = 0
+        peak = 0
+
+        def recorded(stage, fn):
+            def wrapper(*args, **kwargs):
+                nonlocal running, peak
+                with lock:
+                    idents[stage].add(threading.get_ident())
+                    running += 1
+                    peak = max(peak, running)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    with lock:
+                        running -= 1
+
+            return wrapper
+
+        monkeypatch.setattr(
+            service_mod, "run_pair_job",
+            recorded("shard", service_mod.run_pair_job),
+        )
+        monkeypatch.setattr(
+            CampaignExecutor, "prepare",
+            recorded("prepare", CampaignExecutor.prepare),
+        )
+        monkeypatch.setattr(
+            CampaignExecutor, "finish",
+            recorded("finish", CampaignExecutor.finish),
+        )
+
+        async def main():
+            service = CampaignService(fleet_size=3, shard_pairs=2)
+            await service.start()
+            ids = [
+                await service.submit(_request(seed, tenant=tenant))
+                for seed, tenant in ((11, "alice"), (22, "bob"), (33, "carol"))
+            ]
+            results = await asyncio.gather(*(service.result(i) for i in ids))
+            await service.stop()
+            return results
+
+        results = asyncio.run(main())
+        assert len(results) == 3
+        assert all(idents.values()), idents  # every stage was observed
+        assert len(set().union(*idents.values())) == 1
+        assert threading.get_ident() not in idents["shard"]
+        assert peak == 1
+        assert not [
+            t for t in threading.enumerate()
+            if t.name.startswith("repro-fleet") and t.is_alive()
+        ]
 
 
 class TestRestartResume:
