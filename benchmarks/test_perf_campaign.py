@@ -1,13 +1,15 @@
 """Campaign throughput benchmark → BENCH_campaign.json.
 
 Times a small fixed-seed A100 campaign (4 frequencies / 12 pairs at bench
-fidelity) several ways — the legacy serial loop, the execution engine
-with one worker on the scalar reference loop, the engine on the batched
-pass-block pipeline, and (when the host can honestly run it) the engine
-with a 4-process pool
-— and writes wall seconds plus measurement throughput to
+fidelity) several ways — the legacy serial loop and the execution engine
+with one worker, both on the one-pass-at-a-time reference loop of
+``tests/oracles.py``, the engine on the batched pass-block loop, and
+(when the host can honestly run it) the engine with a 4-process pool —
+and writes wall seconds plus measurement throughput to
 ``BENCH_campaign.json`` at the repository root, so later PRs have a
-recorded perf baseline to not regress.
+recorded perf baseline to not regress.  Every row records the host
+(Python and NumPy versions, CPU count) and the wall clock of every
+repeat next to the best one.
 
 ``test_campaign_throughput_baseline`` also gates a ratio that holds on
 any host: the batched pass-block wall clock may be at most
@@ -39,16 +41,20 @@ Reference points on the original seed code (single CPU container):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import platform
 import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_JSON, update_bench_json
 from repro import LatestConfig, make_machine, run_campaign
+from tests.oracles import reference_loop
 
 #: committed throughput floors for the reference container
 PERF_FLOOR_JSON = Path(__file__).resolve().parent / "perf_floor.json"
@@ -61,14 +67,20 @@ _MAX_BATCHED_VS_SCALAR = 1.10
 #: engine_workers_1 measurements/s recorded by PR 1 (the perf baseline
 #: the batched pipeline is scored against)
 _BASELINE_ENGINE_1 = 448.23
+#: the host every row was timed on
+_HOST = {
+    "python": platform.python_version(),
+    "numpy": np.__version__,
+    "cpu_count": os.cpu_count() or 1,
+}
 
 
 def _bench_fidelity_config() -> LatestConfig:
     """Pinned copy of the conftest bench fidelity (a perf baseline must
     not drift when the shared fixtures are retuned).
 
-    ``pass_block_size=None`` pins the scalar reference loop; batched
-    modes override it explicitly so the comparison axis is visible here.
+    ``pass_block_size=25`` pins the batched modes' block cap; the
+    reference modes replace the loop itself (``reference=True``).
     """
     return LatestConfig(
         frequencies=_FREQUENCIES,
@@ -83,49 +95,58 @@ def _bench_fidelity_config() -> LatestConfig:
         confirm_iterations=250,
         probe_window_s=0.5,
         settle_chunk_s=0.10,
-        pass_block_size=None,
+        pass_block_size=25,
     )
 
 
 def _timed_campaign(
     workers,
-    pass_block_size=None,
+    reference=False,
     journal_root=None,
     sinks_factory=None,
 ):
+    """Best-of-``_REPEATS`` row for one mode.
+
+    ``reference=True`` runs every pair on the reference loop (forked pool
+    workers inherit the patch); otherwise the pass-block loop runs.
+    """
     best = None
+    walls = []
     for i in range(_REPEATS):
         machine = make_machine("A100", seed=_SEED)
-        config = replace(
-            _bench_fidelity_config(), pass_block_size=pass_block_size
-        )
+        config = _bench_fidelity_config()
         # A journal open refuses an existing directory, so each repeat
         # journals into its own (the fsync-per-pair cost is identical).
         journal = None if journal_root is None else str(journal_root / f"r{i}")
         # Fresh sinks per repeat: a sink accumulates state for exactly
         # one campaign stream.
         sinks = () if sinks_factory is None else sinks_factory(i)
-        t0 = time.perf_counter()
-        result = run_campaign(
-            machine, config, workers=workers, journal=journal, sinks=sinks
-        )
-        wall_s = time.perf_counter() - t0
+        loop = reference_loop() if reference else contextlib.nullcontext()
+        with loop:
+            t0 = time.perf_counter()
+            result = run_campaign(
+                machine, config, workers=workers, journal=journal, sinks=sinks
+            )
+            wall_s = time.perf_counter() - t0
+        walls.append(round(wall_s, 4))
         if best is None or wall_s < best[0]:
             best = (wall_s, result)
     wall_s, result = best
     n = sum(p.n_measurements for p in result.iter_measured())
     return {
         "wall_s": round(wall_s, 4),
+        "walls_s": walls,
         "n_measurements": n,
         "n_measured_pairs": result.n_measured_pairs,
         "measurements_per_s": round(n / wall_s, 2),
+        "host": _HOST,
     }, result
 
 
 def test_campaign_throughput_baseline():
-    serial, _ = _timed_campaign(workers=None)
-    engine1, _ = _timed_campaign(workers=1)
-    batched, _ = _timed_campaign(workers=1, pass_block_size=25)
+    serial, _ = _timed_campaign(workers=None, reference=True)
+    engine1, _ = _timed_campaign(workers=1, reference=True)
+    batched, _ = _timed_campaign(workers=1)
 
     # Sanity: every mode measures the full pair grid, and the batched
     # pipeline reproduces the scalar engine's measurement set exactly.
@@ -136,7 +157,7 @@ def test_campaign_throughput_baseline():
 
     cpu_count = os.cpu_count() or 1
     if cpu_count >= 4:
-        engine4, _ = _timed_campaign(workers=4)
+        engine4, _ = _timed_campaign(workers=4, reference=True)
         assert engine4["n_measurements"] == engine1["n_measurements"]
         parallel_speedup = round(engine1["wall_s"] / engine4["wall_s"], 3)
     else:
@@ -152,7 +173,8 @@ def test_campaign_throughput_baseline():
     payload = {
         "benchmark": (
             "A100 campaign, 4 frequencies / 12 pairs, bench fidelity; "
-            "modes: serial, engine, pass-block batched"
+            "modes: serial and engine on the reference loop, engine on "
+            "the pass-block loop"
         ),
         "seed": _SEED,
         "frequencies_mhz": list(_FREQUENCIES),
@@ -189,8 +211,9 @@ def test_campaign_throughput_baseline():
     assert serial["wall_s"] < 30.0
     assert serial["measurements_per_s"] > 50.0
     assert batched["wall_s"] < 30.0
-    # Relative gate (binds on any host): the pass-block pipeline must not
-    # be slower than the scalar loop it replaces, beyond timing noise.
+    # Relative gate (binds on any host): the pass-block loop must not be
+    # slower than the one-pass-at-a-time reference loop, beyond timing
+    # noise.
     assert batched["wall_s"] <= _MAX_BATCHED_VS_SCALAR * engine1["wall_s"], (
         f"batched pass-block wall {batched['wall_s']} s exceeds "
         f"{_MAX_BATCHED_VS_SCALAR}x the scalar engine's {engine1['wall_s']} s"
@@ -205,9 +228,9 @@ def test_journal_overhead(tmp_path):
     wall clock.  Both rows land in ``BENCH_campaign.json`` so the
     trajectory is tracked alongside the other modes.
     """
-    plain, plain_result = _timed_campaign(workers=1, pass_block_size=25)
+    plain, plain_result = _timed_campaign(workers=1)
     journaled, journaled_result = _timed_campaign(
-        workers=1, pass_block_size=25, journal_root=tmp_path
+        workers=1, journal_root=tmp_path
     )
 
     # Journaling must not perturb the measurements themselves.
@@ -262,9 +285,9 @@ def test_stream_overhead(tmp_path):
             RecordingSink(),
         )
 
-    off, off_result = _timed_campaign(workers=1, pass_block_size=25)
+    off, off_result = _timed_campaign(workers=1)
     on, on_result = _timed_campaign(
-        workers=1, pass_block_size=25, sinks_factory=sinks_on
+        workers=1, sinks_factory=sinks_on
     )
 
     # Sinks must not perturb the measurements themselves.
@@ -323,23 +346,24 @@ def test_calibration_cache_speedup(tmp_path):
             frequencies=(1215.0, 810.0),
             axis="memory",
             locked_sm_mhz=facets,
-            pass_block_size=25,
             calibration_cache=str(cache_dir),
         )
 
     def timed(cache_dir_for):
         best = None
+        walls = []
         for i in range(_REPEATS):
             machine = make_machine("A100", seed=_SEED)
             config = cache_config(cache_dir_for(i))
             t0 = time.perf_counter()
             result = run_campaign(machine, config, workers=1)
             wall_s = time.perf_counter() - t0
+            walls.append(round(wall_s, 4))
             if best is None or wall_s < best[0]:
                 best = (wall_s, result, last_run_stats())
-        return best
+        return (*best, walls)
 
-    cold_wall, cold_result, cold_stats = timed(
+    cold_wall, cold_result, cold_stats, cold_walls = timed(
         lambda i: tmp_path / f"cold{i}"
     )
     warm_dir = tmp_path / "warm"
@@ -347,7 +371,7 @@ def test_calibration_cache_speedup(tmp_path):
     run_campaign(
         make_machine("A100", seed=_SEED), cache_config(warm_dir), workers=1
     )
-    warm_wall, warm_result, warm_stats = timed(lambda i: warm_dir)
+    warm_wall, warm_result, warm_stats, warm_walls = timed(lambda i: warm_dir)
 
     # Guardrails: the warm replay must not perturb the campaign.
     assert cold_stats == {"hits": 0, "misses": 3, "installs": 3, "corrupt": 0}
@@ -396,6 +420,9 @@ def test_calibration_cache_speedup(tmp_path):
                 "3 locked-SM facets",
                 "cold_wall_s": round(cold_wall, 4),
                 "warm_wall_s": round(warm_wall, 4),
+                "cold_walls_s": cold_walls,
+                "warm_walls_s": warm_walls,
+                "host": _HOST,
                 "warm_speedup": round(cold_wall / warm_wall, 2),
                 "calibration_fraction_est": round(
                     1.0 - warm_wall / cold_wall, 4

@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="B",
         help="upper bound on the batched pass-block size of the per-pair "
         "measurement loop (results are bit-identical for every value); "
-        "0 forces the scalar reference loop (default 25)",
+        "1 runs unbatched (default 25)",
     )
     parser.add_argument(
         "--calibration-cache",
@@ -379,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
             max_measurements=args.max_measurements,
             record_sm_count=args.sm_count,
             output_dir=args.output_dir,
-            pass_block_size=args.pass_block if args.pass_block > 0 else None,
+            pass_block_size=args.pass_block,
             max_job_retries=args.max_job_retries,
             job_timeout_factor=args.job_timeout_factor,
             inject_faults=args.inject_faults,

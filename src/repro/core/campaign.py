@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clustering.adaptive import adaptive_dbscan
+from repro.core import passblock
 from repro.core.axis import SM_CORE
 from repro.core.config import LatestConfig
 from repro.core.context import BenchContext
@@ -32,12 +32,7 @@ from repro.core.csvio import write_campaign_csvs
 from repro.core.phase1 import Phase1Result, run_phase1
 from repro.core.phase2 import run_switch_benchmark
 from repro.core.phase3 import evaluate_switch
-from repro.core.results import (
-    CampaignResult,
-    PairResult,
-    ResultAccumulator,
-    SwitchingLatencyMeasurement,
-)
+from repro.core.results import CampaignResult, PairResult, ResultAccumulator
 from repro.core.stream import (
     CampaignFinished,
     CampaignStarted,
@@ -47,14 +42,12 @@ from repro.core.stream import (
     StreamDispatcher,
 )
 from repro.errors import CampaignInterrupted, ConfigError, MeasurementError
-from repro.gpusim.thermal import ThrottleReasons
 from repro.machine import Machine
 
 __all__ = [
     "ProbeInfo",
     "LatestBenchmark",
     "measure_pair",
-    "measure_pair_reference",
     "run_campaign",
 ]
 
@@ -382,136 +375,14 @@ def measure_pair(
 
     Standalone so the execution engine can run it against a per-pair
     replica machine in a worker process; :class:`LatestBenchmark` delegates
-    here for the serial path.
-
-    Dispatches to the batched pass-block pipeline
-    (:mod:`repro.core.passblock`) unless ``config.pass_block_size`` is
-    ``None`` or the machine carries an active tracer — both paths produce
-    bit-identical results; the scalar loop below is the reference
-    implementation and the one whose per-pass trace events are meaningful.
+    here for the serial path.  The loop itself is the pass-block loop
+    :func:`repro.core.passblock.measure_pair_blocked`, looked up at call
+    time, with ``config.pass_block_size`` as its block cap.
     """
-    from repro.trace import NULL_TRACER
-
-    block = bench.config.pass_block_size
-    if block is not None and bench.machine.tracer is NULL_TRACER:
-        from repro.core.passblock import measure_pair_blocked
-
-        return measure_pair_blocked(
-            bench, init_mhz, target_mhz, phase1, probe, block
-        )
-    return measure_pair_reference(bench, init_mhz, target_mhz, phase1, probe)
-
-
-def measure_pair_reference(
-    bench: BenchContext,
-    init_mhz: float,
-    target_mhz: float,
-    phase1: Phase1Result,
-    probe: ProbeInfo,
-) -> PairResult:
-    """The scalar reference loop: one pass simulated, evaluated, decided.
-
-    Retained verbatim as the semantic definition of the per-pair
-    measurement procedure; ``tests/test_core_passblock.py`` asserts the
-    batched pipeline reproduces it bit for bit.
-    """
-    cfg = bench.config
-    machine = bench.machine
-    kernel = phase1.kernel
-    target_stats = phase1.stats_for(target_mhz)
-    rule = cfg.stopping_rule()
-
-    pair = PairResult(
-        init_mhz=float(init_mhz), target_mhz=float(target_mhz), axis=cfg.axis
+    return passblock.measure_pair_blocked(
+        bench, init_mhz, target_mhz, phase1, probe,
+        bench.config.pass_block_size,
     )
-    window_iters = _initial_window_iters(bench, init_mhz, target_mhz, probe, kernel)
-    growths = 0
-    consecutive_failures = 0
-    passes = 0
-
-    while True:
-        try:
-            raw = run_switch_benchmark(
-                bench, init_mhz, target_mhz, kernel, window_iters
-            )
-        except MeasurementError:
-            pair.n_failed_attempts += 1
-            consecutive_failures += 1
-            if consecutive_failures >= cfg.max_consecutive_failures:
-                pair.skipped = True
-                pair.skip_reason = "initial-frequency-never-settled"
-                break
-            continue
-        passes += 1
-
-        # Throttle handling (paper Sec. VI): every five passes.  On the
-        # power-cap axis SW_POWER_CAP is the measured signal itself
-        # (axis.benign_throttle), not a reason to abandon the pair.
-        if passes % cfg.throttle_check_every == 0:
-            reasons = raw.throttle_reasons
-            if reasons & (
-                ThrottleReasons.SW_POWER_CAP & ~bench.axis.benign_throttle
-            ):
-                pair.skipped = True
-                pair.skip_reason = "power-throttled"
-                break
-            if reasons & (ThrottleReasons.SW_THERMAL | ThrottleReasons.HW_THERMAL):
-                drop = min(cfg.throttle_discard_count, len(pair.measurements))
-                if drop:
-                    del pair.measurements[-drop:]
-                pair.n_throttle_discards += drop
-                bench.host.sleep(cfg.throttle_backoff_s)
-                continue
-
-        ev = evaluate_switch(raw, target_stats, cfg)
-        machine.tracer.emit(
-            machine.clock.now, "campaign", "evaluation",
-            pair=f"{init_mhz:g}->{target_mhz:g}",
-            outcome=ev.reason,
-            latency_ms=(
-                round(ev.latency_s * 1e3, 3) if ev.ok else None
-            ),
-        )
-        if ev.ok:
-            consecutive_failures = 0
-            pair.measurements.append(
-                SwitchingLatencyMeasurement(
-                    latency_s=float(ev.latency_s),
-                    ts_acc=raw.ts_acc,
-                    te_acc=float(ev.te_acc),
-                    n_valid_sm=ev.n_valid_sm,
-                    window_iterations=window_iters,
-                    ground_truth_s=raw.ground_truth_latency_s,
-                    ground_truth_outlier=raw.ground_truth_outlier,
-                )
-            )
-            if rule.should_stop([m.latency_s for m in pair.measurements]):
-                break
-            continue
-
-        # Failed evaluation: grow the window when the latency escaped
-        # it ("repeated with a ten-times longer workload", Sec. V);
-        # otherwise simply repeat phases two and three.
-        pair.n_failed_attempts += 1
-        consecutive_failures += 1
-        if ev.window_too_short and growths < cfg.max_window_retries:
-            window_iters = int(
-                math.ceil(window_iters * cfg.window_growth_factor)
-            )
-            growths += 1
-            pair.n_window_growths += 1
-            consecutive_failures = 0
-        elif consecutive_failures >= cfg.max_consecutive_failures:
-            if not pair.measurements:
-                pair.skipped = True
-                pair.skip_reason = "no-viable-measurements"
-            break
-
-    if len(pair.measurements) >= _MIN_FOR_OUTLIER_FILTER:
-        pair.outliers = adaptive_dbscan(
-            [m.latency_s for m in pair.measurements], cfg.outlier_config
-        )
-    return pair
 
 
 def run_campaign(
@@ -531,8 +402,8 @@ def run_campaign(
     with deterministic seed streams: the result is identical for every
     worker count (1, 4, ...), but differs from the serial timeline because
     pairs no longer share one clock/RNG stream.  Either way the per-pair
-    inner loop runs batched (``config.pass_block_size``) or scalar —
-    bit-identical by contract.
+    inner loop is the pass-block loop, whose results are the same for
+    every ``config.pass_block_size``.
 
     With ``config.memory_frequencies`` set, both paths sweep the full
     core×memory grid: the SM pair grid is re-characterized and measured

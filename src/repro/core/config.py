@@ -9,7 +9,8 @@ paper's defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 from repro.clustering.adaptive import AdaptiveDbscanConfig
 from repro.core.axis import MeasurementAxis, axis_by_name
@@ -147,15 +148,14 @@ class LatestConfig:
     inject_faults: str | None = None
 
     # ----- execution ----------------------------------------------------
-    #: upper bound on the pass-block size of the batched per-pair loop
+    #: upper bound on the pass-block size of the per-pair loop
     #: (:mod:`repro.core.passblock`); blocks are additionally clipped so a
     #: stopping-rule check can only land on the final pass of a block.
-    #: ``None`` forces the scalar reference loop
-    #: (:func:`repro.core.campaign.measure_pair_reference`).  Results are
-    #: bit-identical for every setting; this knob only trades batching
-    #: efficiency against speculation (rolled back on mid-block state
-    #: changes).  25 mirrors the paper's RSE check cadence.
-    pass_block_size: int | None = 25
+    #: ``1`` runs unbatched, one pass at a time.  Results are bit-identical
+    #: for every setting; this knob only trades batching efficiency
+    #: against speculation (rolled back on mid-block state changes).  25
+    #: mirrors the paper's RSE check cadence.
+    pass_block_size: int = 25
 
     # ----- outlier filtering (Algorithm 3) ------------------------------
     outlier_config: AdaptiveDbscanConfig = field(default_factory=AdaptiveDbscanConfig)
@@ -175,6 +175,23 @@ class LatestConfig:
 
     def __post_init__(self) -> None:
         axis_by_name(self.axis)  # validates the axis name
+        if self.pass_block_size is None:
+            raise ConfigError(
+                "pass_block_size must be an integer >= 1; use 1 for the "
+                "unbatched one-pass-at-a-time loop"
+            )
+        # Integer fields reach here from JSON and keyword callers too; a
+        # float or bool would otherwise fail deep inside a campaign.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_INT_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ConfigError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         if self.axis != "sm_core":
             if self.memory_frequencies is not None:
                 raise ConfigError(
@@ -237,8 +254,8 @@ class LatestConfig:
             raise ConfigError("max_measurements below min_measurements")
         if self.delay_iterations < 1 or self.confirm_iterations < 1:
             raise ConfigError("delay/confirm iteration counts must be >= 1")
-        if self.pass_block_size is not None and self.pass_block_size < 1:
-            raise ConfigError("pass_block_size must be >= 1 (or None)")
+        if self.pass_block_size < 1:
+            raise ConfigError("pass_block_size must be >= 1")
         if self.job_timeout_factor is not None and self.job_timeout_factor <= 0:
             raise ConfigError("job_timeout_factor must be positive (or None)")
         if self.job_timeout_floor_s < 0:
@@ -340,3 +357,12 @@ class LatestConfig:
             self,
             memory_frequencies=None if freqs is None else tuple(freqs),
         )
+
+
+#: fields that must hold an integer (``int | None`` ones may also be None)
+_INT_FIELDS = tuple(
+    f.name for f in fields(LatestConfig) if f.type in ("int", "int | None")
+)
+_OPTIONAL_INT_FIELDS = frozenset(
+    f.name for f in fields(LatestConfig) if f.type == "int | None"
+)

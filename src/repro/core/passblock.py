@@ -1,22 +1,23 @@
-"""Batched pass-block execution of the per-pair measurement loop.
+"""The per-pair measurement loop, run as batched pass blocks.
 
-The scalar reference loop (:func:`repro.core.campaign.measure_pair_reference`)
-runs one full measurement pass at a time: PTP handshake, settle, benchmark
-kernel, frequency change, then the phase-3 evaluation — and only then
-decides what the next pass looks like.  Almost all of that decision logic
-is cheap scalar state, while almost all of the *work* is array math whose
-per-pass fixed costs dominate at campaign scale.
+The paper's Algorithm 1 measures a pair one pass at a time: PTP
+handshake, settle, benchmark kernel, frequency change, then the phase-3
+evaluation — and only then decides what the next pass looks like.  Almost
+all of that decision logic is cheap scalar state, while almost all of the
+*work* is array math whose per-pass fixed costs dominate at campaign
+scale.
 
-This module restructures the loop around **pass blocks**:
+This module runs that loop around **pass blocks**:
 
 1.  *Speculate.*  Up to ``B`` passes are simulated back to back under the
     assumption that every deferred evaluation will succeed with the current
-    switch window.  Each pass performs exactly the scalar path's RNG draws
-    and clock advances (the simulation side is untouched); only the pure
-    array analysis — per-iteration boundary inversion, device-clock
-    conversion, phase-3 detection and CI confirmation — is deferred.
-    Throttle checks and settle failures depend on nothing deferred, so
-    they are handled eagerly at the scalar cadence.  After every pass a
+    switch window.  Each pass performs exactly the one-pass-at-a-time
+    loop's RNG draws and clock advances (the simulation side is
+    untouched); only the pure array analysis — per-iteration boundary
+    inversion, device-clock conversion, phase-3 detection and CI
+    confirmation — is deferred.  Throttle checks and settle failures
+    depend on nothing deferred, so they are handled eagerly at the
+    per-pass cadence.  After every pass a
     :class:`~repro.machine.MachineCheckpoint` is appended to the block's
     **ledger**.
 
@@ -26,32 +27,30 @@ This module restructures the loop around **pass blocks**:
     whole block in one array sweep (bit-identical per pass to
     :func:`~repro.core.phase3.evaluate_switch`).
 
-3.  *Resolve.*  The scalar control flow is replayed over the real
-    outcomes.  While the speculation assumption holds this commits
-    measurements; at the first divergence — a failed evaluation that grows
-    the window, an abandon threshold, a mid-block stopping-rule hit — the
-    machine is rolled back to the ledger checkpoint taken right after the
-    diverging pass, i.e. to exactly the state the scalar loop would be in,
-    and the loop re-plans from there.  A failed evaluation that changes
-    *no* simulation state (no window growth, no abandon) is not a
-    divergence at all: the speculated suffix remains valid and resolution
-    simply keeps walking.
+3.  *Resolve.*  The per-pass control flow is replayed over the real
+    outcomes, in pass order.  While the speculation assumption holds this
+    commits measurements; at the first divergence — a failed evaluation
+    that grows the window, an abandon threshold, a mid-block stopping-rule
+    hit — the machine is rolled back to the ledger checkpoint taken right
+    after the diverging pass, i.e. to exactly the state a one-pass-at-a-
+    time loop would be in, and the loop re-plans from there.  A failed
+    evaluation that changes *no* simulation state (no window growth, no
+    abandon) is not a divergence at all: the speculated suffix remains
+    valid and resolution simply keeps walking.
 
-Because every RNG draw happens in scalar order and every discarded suffix
-is rolled back through the ledger, the batched loop is bit-identical to the
-scalar reference — same measurements, outlier labels, and CSV bytes — for
-every block size, which ``tests/test_core_passblock.py`` asserts across
-architectures.
+Because every RNG draw happens in pass order and every discarded suffix
+is rolled back through the ledger, every block size gives the same
+measurements, outlier labels, CSV bytes and virtual wall clock.  Block
+size 1 never speculates.  ``tests/test_core_passblock.py`` checks every
+size against a one-pass-at-a-time oracle loop kept in the tests.
 
-Scalar fallback
----------------
-``measure_pair`` (the dispatcher in :mod:`repro.core.campaign`) routes to
-the reference loop when ``config.pass_block_size`` is ``None`` or the
-machine carries an active tracer (speculative passes would emit trace
-events for work that is later rolled back; the reference loop's trace is
-the meaningful one).  Within the batched loop itself, blocks degrade to
-size 1 near stopping-rule boundaries — identical semantics, just without
-batching gains.
+Tracing
+-------
+The resolve step emits one ``campaign``/``evaluation`` event per
+evaluated pass, in pass order, when the machine's tracer is enabled.  A
+machine with an enabled tracer plans blocks of 1, so speculative passes
+that are later rolled back never reach its trace.  A disabled tracer
+keeps full blocks.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def _evaluate_deferred_block(raws, bench, target_stats, cfg):
     directly into one ``(n_pass, n_sm, n_iter)`` matrix (no per-pass
     DeviceTimestamps, no starts matrices — back-to-back iterations make
     them shifted views of the ends), then the whole block is evaluated in
-    one sweep.  Per-element arithmetic is identical to the scalar path's
+    one sweep.  Per-element arithmetic is identical to the single-pass path's
     ``as_device_view`` + ``evaluate_switch`` chain.
     """
     if not raws:
@@ -145,19 +144,21 @@ def measure_pair_blocked(
     probe,
     block_cap: int,
 ) -> PairResult:
-    """Pass-block batched equivalent of ``measure_pair_reference``.
+    """Measure one pair until the RSE stopping rule fires.
 
-    Each round speculates one block of passes, evaluates the block's
-    deferred kernels in one sweep, then resolves: the scalar control flow
-    replays over the real outcomes, and the machine is rolled back through
-    the ledger at the first divergence.
+    Each round speculates one block of at most ``block_cap`` passes,
+    evaluates the block's deferred kernels in one sweep, then resolves:
+    the per-pass control flow replays over the real outcomes, and the
+    machine is rolled back through the ledger at the first divergence.
     """
-    # Imported here: campaign imports this module lazily from its own
-    # measure_pair dispatcher.
+    # Imported here: campaign imports this module at load time.
     from repro.clustering.adaptive import adaptive_dbscan
     from repro.core.campaign import _MIN_FOR_OUTLIER_FILTER, _initial_window_iters
 
     cfg, machine = bench.config, bench.machine
+    tracer = machine.tracer if machine.tracer.enabled else None
+    if tracer is not None:
+        block_cap = 1  # trace only passes that are kept
     kernel = phase1.kernel
     target_stats = phase1.stats_for(target_mhz)
     rule = cfg.stopping_rule()
@@ -196,7 +197,7 @@ def measure_pair_blocked(
 
             # Throttle handling (paper Sec. VI) depends only on the NVML
             # poll taken during the pass — nothing deferred — so it runs
-            # eagerly at the exact scalar cadence.  SW_POWER_CAP is masked
+            # eagerly at the exact per-pass cadence.  SW_POWER_CAP is masked
             # on the power-cap axis (it is the measured signal there).
             if spec_passes % cfg.throttle_check_every == 0:
                 reasons = raw.throttle_reasons
@@ -227,7 +228,7 @@ def measure_pair_blocked(
             )
         )
 
-        # 3. Resolve: replay the scalar control flow over real outcomes.
+        # 3. Resolve: replay the per-pass control flow over real outcomes.
         for index, event in enumerate(events):
             is_last = index == len(events) - 1
 
@@ -263,6 +264,15 @@ def measure_pair_blocked(
             # kind == "raw"
             passes += 1
             ev = next(evaluations)
+            if tracer is not None:
+                tracer.emit(
+                    machine.clock.now, "campaign", "evaluation",
+                    pair=f"{init_mhz:g}->{target_mhz:g}",
+                    outcome=ev.reason,
+                    latency_ms=(
+                        round(ev.latency_s * 1e3, 3) if ev.ok else None
+                    ),
+                )
             if ev.ok:
                 consecutive_failures = 0
                 raw = event.raw
@@ -284,7 +294,7 @@ def measure_pair_blocked(
                     break
                 continue
 
-            # Failed evaluation: scalar bookkeeping, then decide whether the
+            # Failed evaluation: failure bookkeeping, then decide whether the
             # speculated suffix is still valid.
             pair.n_failed_attempts += 1
             consecutive_failures += 1
@@ -309,8 +319,8 @@ def measure_pair_blocked(
                 done = True
                 break
             # Plain failure: consumes no draws and no time, so the
-            # speculated suffix is exactly what the scalar loop would have
-            # run next — keep walking, no rollback.
+            # speculated suffix is exactly what one pass at a time would
+            # have run next — keep walking, no rollback.
 
     # Algorithm-3 outlier labelling.
     if len(pair.measurements) >= _MIN_FOR_OUTLIER_FILTER:

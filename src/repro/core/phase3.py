@@ -20,9 +20,8 @@ SM is viable, phases two and three are repeated by the campaign loop.
 The confirmation step runs as array-wide Welch CI math over all candidate
 SMs at once (suffix statistics from shared cumulative-sum buffers, critical
 values from the rounded-dof cache in :mod:`repro.stats.intervals`); the
-original one-SampleStats-per-SM loop is retained as
-:func:`evaluate_switch_reference` for equivalence testing, mirroring the
-vectorized/reference split of :mod:`repro.gpusim.sm`.
+original one-SampleStats-per-SM loop lives in ``tests/oracles.py``, where
+the equivalence tests check the vectorized path against it.
 
 The FTaLaT-style confidence-interval criterion is retained behind
 ``detection_criterion="confidence-interval"`` for the Sec. V-A ablation:
@@ -43,18 +42,13 @@ from repro.core.config import LatestConfig
 from repro.core.phase2 import RawSwitchData
 from repro.errors import ConfigError
 from repro.stats.descriptive import SampleStats
-from repro.stats.intervals import (
-    difference_ci,
-    difference_ci_batch,
-    two_sigma_band,
-)
+from repro.stats.intervals import difference_ci_batch, two_sigma_band
 
 __all__ = [
     "SmStatus",
     "SwitchEvaluation",
     "evaluate_switch",
     "evaluate_switch_block_deferred",
-    "evaluate_switch_reference",
     "detection_band",
 ]
 
@@ -188,16 +182,6 @@ def _tail_moments(tail_sum: np.ndarray, tail_sq: np.ndarray, n_tail: np.ndarray)
         safe_n - 1, 1
     )
     return mean, np.sqrt(var)
-
-
-def _suffix_stats(diffs: np.ndarray, cut: np.ndarray):
-    """Per-row mean/std/count of ``diffs[i, cut[i]:]`` over every row."""
-    n_iter = diffs.shape[1]
-    cut = np.minimum(cut, n_iter)
-    n_tail = n_iter - cut
-    tail_sum, tail_sq = _tail_sums(diffs, cut, np.arange(diffs.shape[0]))
-    mean, std = _tail_moments(tail_sum, tail_sq, n_tail)
-    return mean, std, n_tail
 
 
 def _detect(raw: RawSwitchData, target_stats: SampleStats, cfg: LatestConfig):
@@ -431,8 +415,8 @@ def _confirm_and_finish(
         # Confirmation (Algorithm 2 l. 20): the difference CI of (tail -
         # target) includes zero, or the mean difference is inside the
         # relative tolerance.  Variance via std*std (not the raw variance)
-        # to match the scalar reference path, which round-trips through
-        # SampleStats.
+        # to match the one-SampleStats-per-SM formulation, which
+        # round-trips through SampleStats.
         lb, hb = difference_ci_batch(
             tail_mean, tail_std * tail_std, tail_n, target_stats, cfg.confidence
         )
@@ -443,44 +427,3 @@ def _confirm_and_finish(
         valid[b_idx[ok], rows[ok]] = True
 
     return _finish(ends, ts_list, status, has_post, detected, short, first, valid)
-
-
-def evaluate_switch_reference(
-    raw: RawSwitchData,
-    target_stats: SampleStats,
-    cfg: LatestConfig,
-) -> SwitchEvaluation:
-    """Scalar reference: one SampleStats + Welch CI per candidate SM.
-
-    This is the original formulation of the confirmation step.  It is kept
-    (like :func:`repro.gpusim.sm.integrate_iterations_reference`) so the
-    equivalence tests can assert that the vectorized path produces
-    identical statuses, latencies and reasons.
-    """
-    diffs, ends, ts, has_post, detected, first = _detect(raw, target_stats, cfg)
-    n_sm = diffs.shape[0]
-
-    tail_mean, tail_std, n_tail = _suffix_stats(diffs, first + 1)
-
-    short = detected & (n_tail < cfg.min_confirm_tail)
-    status = _status(has_post, detected, short)
-
-    confirm_rows = np.flatnonzero(detected & ~short)
-    valid = np.zeros(n_sm, dtype=bool)
-    tol = cfg.tolerance_rel * target_stats.mean
-    for i in confirm_rows:
-        tail = SampleStats(
-            n=int(n_tail[i]),
-            mean=float(tail_mean[i]),
-            std=float(tail_std[i]),
-            minimum=0.0,
-            maximum=0.0,
-        )
-        lb, hb = difference_ci(tail, target_stats, cfg.confidence)
-        if (lb < 0.0 < hb) or abs(tail.mean - target_stats.mean) < tol:
-            valid[i] = True
-
-    return _finish(
-        ends[None], [ts], status[None], has_post[None], detected[None],
-        short[None], first[None], valid[None],
-    )[0]

@@ -48,7 +48,7 @@ class MachineCheckpoint:
     every piece of mutable state a speculative measurement pass can touch —
     the true clock, each generator's bit-generator state, hardware-timer
     monotonic guards, the DVFS event timeline, thermal/energy bookkeeping.
-    Restoring rewinds the machine to exactly the state the scalar reference
+    Restoring rewinds the machine to exactly the state a one-pass-at-a-time
     loop would be in, which is what makes speculative pass blocks safe to
     discard.  Checkpoints are cheap (list copies of event timelines plus a
     handful of scalars) and single-use by convention, though restoring one

@@ -27,9 +27,9 @@ magnitudes ``(rounds, 2)``, turnaround uniforms ``(rounds,)`` — rather than
 round by round.  Spike magnitudes are always drawn and applied only where
 the spike uniform fires, so the number of draws is a pure function of
 ``rounds``.  This is the canonical entry in the campaign's RNG draw-order
-ledger (see DESIGN.md): every measurement path, scalar or pass-block
-batched, performs exactly this sequence, which is what keeps the batched
-campaign bit-identical to the scalar reference.
+ledger (see DESIGN.md): every measurement pass, speculated or not,
+performs exactly this sequence, which is what keeps a campaign
+bit-identical for every pass-block size.
 """
 
 from __future__ import annotations

@@ -128,6 +128,11 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["1215,810", "--axis", "memory", "--memory-frequencies", "810"])
 
+    @pytest.mark.parametrize("block", ["0", "-3"])
+    def test_pass_block_below_one_rejected(self, block):
+        with pytest.raises(SystemExit, match="pass_block_size must be >= 1"):
+            main(["705,1410", "--pass-block", block])
+
     def test_locked_sm_requires_memory_axis(self):
         with pytest.raises(SystemExit):
             main(["705,1410", "--locked-sm", "1410"])

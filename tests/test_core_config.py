@@ -1,9 +1,11 @@
 """Tests for campaign configuration validation."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import LatestConfig
 from repro.errors import ConfigError
+from repro.service.requests import CampaignRequest
 
 
 def config(**kw):
@@ -63,6 +65,49 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config(memory_frequencies=(1215.0, -810.0))
         assert config(memory_frequencies=(1215.0,)).memory_frequencies == (1215.0,)
+
+    def test_pass_block_none_rejected(self):
+        """There is no separate unbatched loop to select: block 1 is it."""
+        with pytest.raises(ConfigError, match="use 1 for the unbatched"):
+            config(pass_block_size=None)
+        with pytest.raises(ConfigError):
+            config(pass_block_size=0)
+        assert config(pass_block_size=1).pass_block_size == 1
+
+
+class TestIntegerFields:
+    """Integer fields reject non-integers from every entry point,
+    including a service request's JSON config."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pass_block_size", 2.5),
+            ("delay_iterations", 100.5),
+            ("record_sm_count", 2.5),
+            ("min_measurements", 4.5),
+            ("max_measurements", 60.0),
+            ("rse_check_every", True),
+            ("max_job_retries", False),
+            ("throttle_check_every", "5"),
+        ],
+    )
+    def test_non_integer_rejected(self, field, value):
+        request = CampaignRequest(
+            config={"frequencies": [705.0, 1410.0], field: value}
+        )
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            request.build_config()
+
+    def test_numpy_integers_accepted(self):
+        cfg = config(
+            min_measurements=np.int64(30), record_sm_count=np.int32(4),
+            pass_block_size=np.int64(5),
+        )
+        assert cfg.min_measurements == 30 and cfg.pass_block_size == 5
+
+    def test_optional_integer_accepts_none(self):
+        assert config(record_sm_count=None).record_sm_count is None
 
 
 class TestHelpers:

@@ -10,13 +10,13 @@ from repro.errors import SimulationError
 from repro.gpusim.sm import (
     PendingIntegration,
     integrate_iterations,
-    integrate_iterations_reference,
     prepare_integration_from_boundaries,
     sample_iteration_cycles,
     single_sm_completion,
 )
 from repro.gpusim.trajectory import FrequencyTrajectory
 from repro.simtime.clock import HardwareClock, VirtualClock
+from tests.oracles import integrate_iterations_reference
 
 
 def constant_trajectory(freq_mhz: float = 1000.0) -> FrequencyTrajectory:
