@@ -759,3 +759,43 @@ class TestLegacyEquivalence:
         golden_digest, golden_wall = self.GOLDEN_MEMORY[workers]
         assert _campaign_digest(tmp_path) == golden_digest
         assert result.wall_virtual_s == golden_wall
+
+    #: serial (shared-timeline) multi-facet and power-axis campaigns,
+    #: captured from the pipeline *before* the serial facet loop was
+    #: folded into the execution engine: name -> (config overrides, CSV
+    #: digest, virtual wall clock)
+    GOLDEN_SERIAL = {
+        "core-x-memory-grid": (
+            {"memory_frequencies": (1215.0, 810.0)},
+            "e2db413a6fb36e15070b928f44eae735373bfe543cd00459b125705a5f866db3",
+            36.421916983763175,
+        ),
+        "locked-sm-sweep": (
+            {
+                "frequencies": (1215.0, 810.0, 405.0),
+                "axis": "memory",
+                "locked_sm_mhz": (1410.0, 1095.0),
+            },
+            "6933ee7f51604ffc61392dea16aeebad631200ead92d776f9c51b6fe6728de43",
+            36.047447699093276,
+        ),
+        "power-axis": (
+            {"frequencies": (400.0, 330.0, 270.0), "axis": "power"},
+            "f15ee35665f8f5c4a526cc022eeac375824db72bb1d63a7bce1904f1cd5d047f",
+            23.165678213695227,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SERIAL))
+    def test_serial_facets_output_pinned(self, case, tmp_path):
+        overrides, golden_digest, golden_wall = self.GOLDEN_SERIAL[case]
+        config = _golden_config(tmp_path)
+        config = LatestConfig(
+            **{
+                **{f.name: getattr(config, f.name) for f in fields(config)},
+                **overrides,
+            }
+        )
+        result = run_campaign(make_machine("A100", seed=2718), config)
+        assert _campaign_digest(tmp_path) == golden_digest
+        assert result.wall_virtual_s == golden_wall
