@@ -18,7 +18,8 @@ import numpy as np
 from repro import LatestConfig, make_machine
 from repro.analysis.clusters import scatter_data
 from repro.clustering.silhouette import silhouette_score
-from repro.core.campaign import LatestBenchmark
+from repro.core.campaign import measure_pair, probe_windows
+from repro.core.context import BenchContext
 from repro.core.phase1 import run_phase1
 from repro.core.wakeup import estimate_wakeup_latency
 
@@ -43,12 +44,12 @@ def main() -> None:
         max_measurements=60,   # fixed count: we want the full scatter
         rse_check_every=60,
     )
-    bench = LatestBenchmark(machine, config)
-    phase1 = run_phase1(bench.bench)
-    probe = bench._probe_windows(phase1)
+    bench = BenchContext(machine, config)
+    phase1 = run_phase1(bench)
+    probe = probe_windows(bench, phase1)
 
     for init, target in ((1410.0, 1875.0), (1875.0, 1410.0)):
-        pair = bench.measure_pair(init, target, phase1, probe)
+        pair = measure_pair(bench, init, target, phase1, probe)
         data = scatter_data(pair)
         labels = data["label"]
         n_clusters = pair.n_clusters

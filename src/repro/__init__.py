@@ -29,7 +29,7 @@ over a process pool (:mod:`repro.exec`); the result is bit-identical for
 every worker count.
 """
 
-from repro.core.campaign import LatestBenchmark, measure_pair, run_campaign
+from repro.core.campaign import measure_pair, probe_windows, run_campaign
 from repro.core.config import LatestConfig
 from repro.core.results import CampaignResult, PairResult
 from repro.machine import Machine, MachineBlueprint, make_machine
@@ -42,8 +42,8 @@ __all__ = [
     "Machine",
     "MachineBlueprint",
     "LatestConfig",
-    "LatestBenchmark",
     "measure_pair",
+    "probe_windows",
     "run_campaign",
     "CampaignResult",
     "PairResult",

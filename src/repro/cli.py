@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="measure frequency pairs across N worker processes via the "
         "execution engine (results are bit-identical for any N, including "
-        "N=1); omit for the classic strictly-serial single-timeline loop "
+        "N=1); omit for the serial shared timeline of the LATEST tool "
         "(default 1 process either way)",
     )
     parser.add_argument(
@@ -188,7 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="deterministic fault injection for testing the recovery "
         "paths: semicolon-separated kind@index[*fires][:param] actions, "
-        "kinds kill/hang/raise/corrupt/interrupt (see repro.exec.faults)",
+        "kinds kill/hang/raise/corrupt/interrupt (see repro.exec.faults); "
+        "runs through the execution engine, so --workers defaults to 1 "
+        "when this is given",
     )
     parser.add_argument(
         "--profile",
@@ -347,17 +349,15 @@ def main(argv: list[str] | None = None) -> int:
         else None
     )
 
-    if args.resume:
-        if args.journal is None:
-            raise SystemExit("--resume needs --journal DIR")
-        if args.workers is None:
-            # Resume is engine-only (the serial loop shares one timeline);
-            # route through the engine at its bit-identical default.
-            args.workers = 1
-    if args.calibration_cache is not None and args.workers is None:
-        # The calibration cache is engine-only for the same reason
-        # resume is: the serial loop cannot skip calibration
-        # bit-identically on one shared timeline.
+    if args.resume and args.journal is None:
+        raise SystemExit("--resume needs --journal DIR")
+    if args.workers is None and (
+        args.resume or args.calibration_cache is not None or args.inject_faults
+    ):
+        # Resume, the calibration cache and fault injection are
+        # engine-only: the serial loop shares one timeline, so it can
+        # neither skip nor retry a pair bit-identically.  Route through
+        # the engine at its bit-identical default.
         args.workers = 1
 
     machine = make_machine(

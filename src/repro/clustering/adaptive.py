@@ -5,7 +5,10 @@ down to 2 % in steps of two, with eps fixed at ``mult`` times the 0.05-0.95
 quantile range of the latencies.  The first configuration whose noise
 (outlier) ratio is at most 10 % wins; if none qualifies, the configuration
 with the smallest noise ratio is kept — minimizing false outliers is the
-algorithm's stated objective.
+algorithm's stated objective.  When even that configuration labels every
+point as noise (sparse data where no point has ``min_pts`` neighbours
+within ``eps``), no labelling is kept at all: every point stays, exactly
+as for degenerate data, and ``converged`` reports the failed descent.
 """
 
 from __future__ import annotations
@@ -103,11 +106,7 @@ def adaptive_dbscan(
     if qr == 0.0:
         # Degenerate data (all latencies identical to timer resolution):
         # everything is one cluster, nothing is an outlier.
-        labels = np.zeros(x.size, dtype=np.int64)
-        res = DbscanResult(labels=labels, eps=0.0, min_pts=0)
-        return AdaptiveDbscanResult(
-            result=res, eps=0.0, min_pts=0, attempts=(), converged=True
-        )
+        return _no_outliers(x.size, attempts=(), converged=True)
     eps = cfg.eps_multiplier * qr
 
     attempts: list[tuple[int, float]] = []
@@ -125,10 +124,23 @@ def adaptive_dbscan(
     converged = chosen is not None
     final = chosen if chosen is not None else best
     assert final is not None
+    if final.noise_ratio == 1.0:
+        # Calling every measurement an outlier is the most false
+        # outliers a labelling can have; keep them all instead.
+        return _no_outliers(x.size, attempts=tuple(attempts), converged=False)
     return AdaptiveDbscanResult(
         result=final,
         eps=eps,
         min_pts=final.min_pts,
         attempts=tuple(attempts),
         converged=converged,
+    )
+
+
+def _no_outliers(n: int, attempts: tuple, converged: bool) -> AdaptiveDbscanResult:
+    """One cluster holding all ``n`` points: the labelling with no outliers."""
+    labels = np.zeros(n, dtype=np.int64)
+    res = DbscanResult(labels=labels, eps=0.0, min_pts=0)
+    return AdaptiveDbscanResult(
+        result=res, eps=0.0, min_pts=0, attempts=attempts, converged=converged
     )

@@ -34,10 +34,10 @@ Cache validity assumes the campaign machine is freshly built from its
 blueprint (exactly what ``make_machine`` and the CLI produce) — the same
 assumption journal resume makes.  The engine therefore consults the
 cache only when the driver clock still sits at the blueprint's start
-time, and the serial loop is ineligible entirely: it shares one
-RNG/clock timeline across calibration and measurement, so a cached
+time, and the serial shared timeline is ineligible entirely: it shares
+one RNG/clock timeline across calibration and measurement, so a cached
 calibration cannot be skipped bit-identically
-(:func:`~repro.core.campaign.run_campaign` raises a clear error).
+(:class:`~repro.exec.engine.CampaignExecutor` raises a clear error).
 
 Durability
 ----------

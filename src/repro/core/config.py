@@ -17,7 +17,13 @@ from repro.core.axis import MeasurementAxis, axis_by_name
 from repro.errors import ConfigError
 from repro.stats.rse import RseStoppingRule
 
-__all__ = ["LatestConfig"]
+__all__ = ["LatestConfig", "require_integer"]
+
+
+def require_integer(name: str, value) -> None:
+    """Reject a bool or non-integer ``value`` (NumPy integers pass)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -167,9 +173,10 @@ class LatestConfig:
     #: (:mod:`repro.core.calibcache`): phase-1 characterizations and probe
     #: window estimates are stored content-addressed so repeat campaigns
     #: skip straight to phase 2/3, bit-identically.  Engine-only — the
-    #: serial loop shares one RNG/clock timeline across calibration and
-    #: measurement, so it cannot skip a cached calibration
-    #: (:func:`~repro.core.campaign.run_campaign` rejects the combination).
+    #: serial shared timeline shares one RNG/clock stream across
+    #: calibration and measurement, so it cannot skip a cached calibration
+    #: (:class:`~repro.exec.engine.CampaignExecutor` rejects the
+    #: combination).
     #: ``None`` (the default) disables caching.
     calibration_cache: str | None = None
 
@@ -186,12 +193,7 @@ class LatestConfig:
             value = getattr(self, name)
             if value is None and name in _OPTIONAL_INT_FIELDS:
                 continue
-            if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral
-            ):
-                raise ConfigError(
-                    f"{name} must be an integer, got {value!r}"
-                )
+            require_integer(name, value)
         if self.axis != "sm_core":
             if self.memory_frequencies is not None:
                 raise ConfigError(

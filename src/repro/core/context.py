@@ -104,8 +104,8 @@ class BenchContext:
     def prepare_facet_clock(self, facet: float | None) -> bool:
         """Lock the facet clock for one campaign facet.
 
-        The single dispatch shared by the serial loop, the engine driver
-        and engine workers.  A set facet coordinate is either a core×memory
+        The single dispatch shared by every calibration
+        (:func:`repro.exec.worker.calibrate_on`) and engine workers.  A set facet coordinate is either a core×memory
         grid facet (``memory_frequencies`` campaigns lock that memory
         P-state) or one locked SM clock of a multi-facet swept-axis sweep
         (lock and settle the SM clock there); ``None`` defers to the swept

@@ -3,7 +3,8 @@
 Long campaigns (thousand-pair core×memory grids, soak sweeps) must not
 lose every measured :class:`~repro.core.results.PairResult` to one worker
 crash or Ctrl-C.  This module is the durability substrate underneath
-:mod:`repro.exec.engine` and the serial loop: an **append-only on-disk
+:mod:`repro.exec.engine`, in engine mode and on the shared timeline
+alike: an **append-only on-disk
 ledger** that records each completed pair result the moment it lands on
 the driver, keyed by a **campaign fingerprint** so a resumed run can
 prove it continues *the same* campaign.
@@ -21,12 +22,14 @@ on the resumed driver machine (same draws, same virtual-clock advance), so
 the reconstructed :class:`~repro.core.results.CampaignResult` — CSV bytes
 and ``wall_virtual_s`` included — equals an uninterrupted run's.
 
-The serial single-timeline loop (``workers=None``) *records* into a
-journal just as durably, but cannot be resumed bit-identically: its pairs
-share one clock/RNG stream, so the machine state needed to continue pair
-k+1 exists only in the process that measured pair k.  Resume therefore
-requires the engine execution model; a serial-mode journal is a durable
-partial record, and resuming it raises a clear error.
+The shared timeline (``workers=None``, journal mode ``"serial"``)
+*records* into a journal just as durably, but can never be resumed
+bit-identically: its pairs share one clock/RNG stream, so pair k's draws
+depend on the machine state pair k-1 left behind, and that state exists
+only in the process that measured pair k-1.  Resume therefore requires
+the engine execution model; a serial-mode journal is a durable partial
+record, and resuming it raises :class:`~repro.errors.JournalModeError`
+(the CLI then prints the engine-mode command to re-run with).
 
 On-disk format
 --------------

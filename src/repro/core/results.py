@@ -381,13 +381,13 @@ class CampaignResult:
 class ResultAccumulator:
     """The sink that assembles a :class:`CampaignResult` from the stream.
 
-    Every execution tier — serial loop, process-pool engine, warm-pool
+    Every execution tier — serial timeline, process-pool engine, warm-pool
     batches, journal-resume replay — emits the campaign event stream
     (:mod:`repro.core.stream`), and this sink is the *only* way a
     ``CampaignResult`` is built from a live campaign.  Pair events are
     keyed by flat grid index, so completion-order delivery from the pool
     tiers accumulates to exactly the grid-order ``pairs`` dict the serial
-    loop emits: iteration order (and therefore summary-CSV row order) is
+    timeline emits: iteration order (and therefore summary-CSV row order) is
     index order, independent of worker count or completion order.
     """
 
@@ -425,7 +425,7 @@ class ResultAccumulator:
                 + ("no CampaignStarted event" if started is None
                    else "no CampaignFinished event")
             )
-        return self._assemble(started, finished)
+        return self._assemble(finished.wall_virtual_s, finished.locked_sm_mhz)
 
     def partial_result(self) -> CampaignResult:
         """Assemble whatever streamed so far (interrupt snapshots).
@@ -439,14 +439,15 @@ class ResultAccumulator:
             raise MeasurementError(
                 "campaign stream incomplete: no CampaignStarted event"
             )
-        from repro.core import stream
-
         finished = self._finished
         if finished is None:
-            finished = stream.CampaignFinished(wall_virtual_s=0.0)
-        return self._assemble(self._started, finished)
+            return self._assemble(0.0, None)
+        return self._assemble(finished.wall_virtual_s, finished.locked_sm_mhz)
 
-    def _assemble(self, started, finished) -> CampaignResult:
+    def _assemble(
+        self, wall_virtual_s: float, locked_sm_mhz: "float | None"
+    ) -> CampaignResult:
+        started = self._started
         pairs: "dict[PairKey | GridKey, PairResult]" = {}
         for index in sorted(self._pairs_by_index):
             pair = self._pairs_by_index[index]
@@ -460,12 +461,12 @@ class ResultAccumulator:
             frequencies=started.frequencies,
             pairs=pairs,
             phase1=self._phase1_by_facet.get(started.facet_plan[0]),
-            wall_virtual_s=finished.wall_virtual_s,
+            wall_virtual_s=wall_virtual_s,
             memory_frequencies=started.memory_frequencies,
             phase1_by_memory=(
                 None if single_facet else self._phase1_by_facet
             ),
             axis=started.axis,
-            locked_sm_mhz=finished.locked_sm_mhz,
+            locked_sm_mhz=locked_sm_mhz,
             locked_sm_frequencies=started.locked_sm_frequencies,
         )

@@ -1,7 +1,7 @@
 """The campaign event stream: one typed, ordered result pipeline.
 
-Every execution tier — the strictly-serial loop, the process-pool engine,
-the warm worker pool, and journal-resume replay — produces the
+Every execution tier — the serial shared timeline, the process-pool
+engine, the warm worker pool, and journal-resume replay — produces the
 same stream of campaign events, and every consumer of campaign results is
 a *sink* attached to it.  The stream is the seam incremental consumers
 plug into: result accumulation
@@ -44,11 +44,11 @@ Ordering & determinism contract
 * ``CampaignStarted`` precedes everything; ``CampaignFinished`` follows
   everything.
 * A facet's ``FacetPrepared`` precedes every pair event of that facet.
-  The serial loop interleaves (prepare facet, measure its pairs, next
-  facet); the engine prepares all facets up front.
+  The serial shared timeline interleaves (prepare facet, measure its
+  pairs, next facet); the engine prepares all facets up front.
 * Exactly one terminal pair event (``PairMeasured`` or ``PairSkipped``)
   is emitted per flat grid index (``facet_index * n_pairs +
-  pair_index``).  The serial loop emits them in grid order; the pool
+  pair_index``).  The shared timeline emits them in grid order; the pool
   tiers emit ``PairMeasured`` in *completion order* — sorting a tier's
   pair events by grid index reproduces the serial emission order, which
   is what index-keyed sinks rely on (and what

@@ -8,8 +8,8 @@ was produced).
 
 Both sweeps accept ``workers``: ``None`` keeps the legacy sequential
 semantics on the caller's machine; an integer runs one process per
-simulated GPU.  Each campaign inside a sweep worker runs the classic
-serial loop (pair-level :mod:`repro.exec` parallelism is a per-campaign
+simulated GPU.  Each campaign inside a sweep worker runs the serial
+shared timeline (pair-level :mod:`repro.exec` parallelism is a per-campaign
 choice made through ``run_campaign(..., workers=...)`` directly).
 """
 

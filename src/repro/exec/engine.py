@@ -1,14 +1,29 @@
-"""The campaign executor: phase 1 once, pairs fanned out deterministically.
+"""The campaign executor: the one campaign driver, serial or fanned out.
 
 Execution model
 ---------------
-Single-facet campaigns calibrate (phase 1 + probe) on the driver's
-machine with exactly the same draws as the legacy serial loop — the
-*driver* calibration scheme, inherently sequential (workload growth
-feeds back into the kernel) and cheap.  Multi-facet campaigns
-(core×memory grids, locked-SM facet sweeps) use the *replica* scheme:
-each facet is calibrated on an independent replica machine rebuilt from
-the blueprint with the facet's own
+Every campaign runs through :class:`CampaignExecutor` and its
+prepare → dispatch → finish seam; ``workers`` selects the machine policy.
+
+``workers=None`` is the *shared timeline*, the LATEST tool's own
+execution model and :func:`repro.core.campaign.run_campaign`'s default:
+facet by facet, in facet order, the driver machine calibrates the facet
+(:meth:`CampaignExecutor._calibrate_on_driver`), emits its
+``FacetPrepared``, and then measures that facet's pairs in flat grid
+order on its own clock and RNG, interleaving the facet's ``PairSkipped``
+and ``PairMeasured`` events by grid index.  Each pair starts from the
+machine state the previous pair left behind, so no pair can be skipped,
+replayed or retried in isolation: the shared timeline rejects
+``resume``, the calibration cache and fault injection, and its journal
+is a durable record that can never be resumed.
+
+``workers >= 1`` is *engine mode*.  Single-facet campaigns calibrate
+(phase 1 + probe) on the driver's machine with exactly the same draws as
+the shared timeline — the *driver* calibration scheme, inherently
+sequential (workload growth feeds back into the kernel) and cheap.
+Multi-facet campaigns (core×memory grids, locked-SM facet sweeps) use
+the *replica* scheme: each facet is calibrated on an independent replica
+machine rebuilt from the blueprint with the facet's own
 :func:`~repro.exec.jobs.calibration_seed_sequence` stream, making every
 facet calibration a pure function of ``(blueprint, config, facet_index,
 facet, start_time)`` — so cold campaigns dispatch them *in parallel*
@@ -16,7 +31,9 @@ across the process pool (or warm-pool daemons) with results provably
 bit-identical to sequential execution, and warm campaigns replay them
 from the persistent calibration cache
 (:mod:`repro.core.calibcache`, ``--calibration-cache DIR``) without a
-single phase-1 or probe pass.  The driver clock then advances by each
+single phase-1 or probe pass.  Both schemes, and the shared timeline,
+run one calibration body, :func:`repro.exec.worker.calibrate_on`.  The
+driver clock then advances by each
 facet's recorded calibration time in facet order, so the campaign epoch
 (and with it every pair seed stream) is identical however the
 calibrations were obtained.  Every valid grid point then
@@ -45,21 +62,22 @@ consumer — the :class:`~repro.core.results.ResultAccumulator` that
 assembles the :class:`CampaignResult`, the journal, incremental CSV
 output — keys on that index, the result (per-pair measurements, outlier
 labels, CSV bytes) is bit-identical for every worker count and
-submission order; scheduling only changes wall-clock time.
+submission order; scheduling only changes wall-clock time.  It differs
+from the shared timeline's, because pairs no longer share one clock/RNG
+stream.
 
 ``workers == 1`` executes the jobs in-process (no pool, no pickling) but
 through the same job pipeline, so it reproduces ``workers == N`` exactly.
-The legacy single-timeline semantics remain available through
-``run_campaign(machine, config)`` with ``workers=None``.
 
 Process pools use the ``fork`` start method where available (Linux) so
 workers inherit the loaded modules; ``spawn`` elsewhere.
 
 Fault tolerance
 ---------------
-Dispatch is **supervised** (:class:`~repro.exec.jobs.SupervisionPolicy`,
-with the generic retry/deadline/quarantine loops living in
-:mod:`repro.exec.supervise`): a unit (one job) that
+In engine mode, dispatch is **supervised**
+(:class:`~repro.exec.jobs.SupervisionPolicy`, with the generic
+retry/deadline/quarantine loops living in :mod:`repro.exec.supervise`):
+a unit (one job) that
 crashes its worker, times out against its cost-model-derived deadline, or
 fails result transport is retried on a rebuilt pool with exponential
 backoff — announced as a :class:`~repro.core.stream.PairRetried` event —
@@ -71,7 +89,8 @@ campaign.  With a journal attached
 (:class:`~repro.core.journal.CampaignJournal`, subscribed as a
 :class:`~repro.core.journal.JournalSink`), every completed pair is
 durably recorded the moment its event is dispatched, SIGINT/SIGTERM
-drain in-flight units and raise
+drain in-flight units (the shared timeline stops before its next
+measured pair) and raise
 :class:`~repro.errors.CampaignInterrupted`, and ``resume=True``
 validates the campaign fingerprint, replays the journaled pairs as
 synthetic stream events, and measures only the rest — reconstructing the
@@ -90,7 +109,8 @@ from repro.core.calibcache import (
     calibration_fingerprint,
     record_run_stats,
 )
-from repro.core.campaign import LatestBenchmark, facet_skip_reason
+from repro.core.campaign import measure_pair
+from repro.core.context import BenchContext
 from repro.core.journal import (
     CampaignJournal,
     JournalSink,
@@ -98,7 +118,6 @@ from repro.core.journal import (
     campaign_fingerprint,
     replay_events,
 )
-from repro.core.phase1 import run_phase1
 from repro.core.config import LatestConfig
 from repro.core.csvio import write_campaign_csvs
 from repro.core.results import CampaignResult, PairResult, ResultAccumulator
@@ -129,6 +148,7 @@ from repro.exec.supervise import (
 )
 from repro.exec.worker import (
     calibrate_facet,
+    calibrate_on,
     fire_worker_faults,
     run_pair_job,
     worker_calibrate,
@@ -147,6 +167,18 @@ __all__ = [
 ]
 
 
+def _facet_prepared(cal: FacetCalibration, cache_hit: bool) -> FacetPrepared:
+    """The ``FacetPrepared`` event announcing one facet's calibration."""
+    return FacetPrepared(
+        facet_index=cal.facet_index,
+        facet=cal.facet,
+        prepared=cal.prepared,
+        phase1=cal.phase1,
+        probe=cal.probe,
+        cache_hit=cache_hit,
+    )
+
+
 @dataclass
 class PreparedCampaign:
     """Everything :meth:`CampaignExecutor.prepare` settles before dispatch.
@@ -161,10 +193,16 @@ class PreparedCampaign:
     timeline and assemble the result.  Because the clock advance in
     ``finish`` sums costs in grid-index order, the result is
     bit-identical for every dispatch interleaving.
+
+    On the shared timeline (``workers=None``) ``prepare`` only opens the
+    campaign: calibration and measurement interleave facet by facet on
+    the driver machine (:meth:`CampaignExecutor._run_shared_timeline`),
+    so ``payload`` is ``None`` and the job lists stay empty.
     """
 
-    #: per-worker shared inputs (blueprint, config, calibrations, epoch)
-    payload: CampaignPayload
+    #: per-worker shared inputs (blueprint, config, calibrations, epoch);
+    #: ``None`` on the shared timeline
+    payload: "CampaignPayload | None"
     #: every valid grid point, facet-major index order
     jobs: list
     #: planned driver-side skips, already emitted as ``PairSkipped``
@@ -178,8 +216,9 @@ class PreparedCampaign:
     t_begin: float = 0.0
     #: the campaign's locked-SM facet plan (``None`` when single-facet)
     sm_facets: tuple = None
-    #: the driver-side benchmark (axis observables for ``finish``)
-    bench_driver: object = None
+    #: the driver machine's bench context (calibration on the driver,
+    #: axis observables for ``finish``)
+    bench: "BenchContext | None" = None
     #: journaled pairs replayed before live dispatch
     n_loaded: int = 0
 
@@ -190,14 +229,22 @@ class CampaignExecutor:
     Parameters
     ----------
     machine:
-        Campaign machine built by :func:`repro.machine.make_machine` (it
-        must carry a blueprint so workers can replicate it).
+        Campaign machine.  Engine mode needs one built by
+        :func:`repro.machine.make_machine` (it must carry a blueprint so
+        workers can replicate it); the shared timeline needs a blueprint
+        only to journal.
     config:
         Campaign configuration; CSV output (if any) is written by the
-        driver after the merge, exactly like the serial loop.
+        driver after the merge.
     workers:
         Process count.  ``1`` runs the job pipeline in-process; any value
-        produces the identical :class:`CampaignResult`.
+        produces the identical :class:`CampaignResult`.  ``None`` runs
+        the *shared timeline*: facets are calibrated and pairs measured
+        one after another on ``machine`` itself, so every pair's draws
+        depend on the machine state the previous pair left behind.  Its
+        results differ from engine mode's, and because no pair can be
+        re-measured in isolation it rejects ``resume``, a calibration
+        cache and fault injection.
     pool:
         Optional :class:`repro.exec.daemon.WarmPool` of persistent worker
         daemons.  When given, jobs dispatch through it instead of a
@@ -227,15 +274,38 @@ class CampaignExecutor:
         self,
         machine: Machine,
         config: LatestConfig,
-        workers: int = 1,
+        workers: int | None = 1,
         pool=None,
         journal: "str | None" = None,
         resume: bool = False,
         sinks=(),
     ) -> None:
-        if workers < 1:
+        if workers is None:
+            # The shared timeline can neither skip nor re-measure a pair
+            # bit-identically: pair k's draws depend on the machine state
+            # pair k-1 left behind (the journal module docs say more).
+            for knob, needs_engine, why in (
+                ("resume", resume, "journaled pairs cannot be skipped"),
+                (
+                    "calibration_cache",
+                    config.calibration_cache is not None,
+                    "a skipped calibration cannot be replayed",
+                ),
+                (
+                    "inject_faults",
+                    bool(config.inject_faults),
+                    "a failed pair cannot be retried",
+                ),
+            ):
+                if needs_engine:
+                    raise ConfigError(
+                        f"{knob} requires the execution engine (workers "
+                        ">= 1): serial campaigns share one RNG/clock "
+                        f"timeline, so {why} bit-identically"
+                    )
+        elif workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
-        if machine.blueprint is None:
+        elif machine.blueprint is None:
             raise ConfigError(
                 "campaign executor needs a machine built by make_machine() "
                 "(hand-assembled machines carry no replication blueprint)"
@@ -261,117 +331,95 @@ class CampaignExecutor:
         self.calibration_cache_stats: dict | None = None
 
     # ------------------------------------------------------------------
+    def _plan_facet(self, facet_index: int, facet, phase1):
+        """One facet's grid points in flat index order: jobs and skips.
+
+        Yields ``(index, PairJob)`` for every measurable point and
+        ``(index, PairResult)`` with ``skipped=True`` for every planned
+        skip — the one skip planner of every execution mode.  Indices are
+        flat positions in the facet-major campaign grid
+        (``config.facet_plan()`` × ``config.pairs()``), which for legacy
+        campaigns reduces to the pair's position in ``config.pairs()``,
+        the seed-stream contract.  ``phase1=None`` means the facet clock
+        never settled (the locked memory clock of a grid campaign, or the
+        locked SM clock of a swept-axis facet): every point is skipped
+        with the axis's ``facet_fail_reason``.  Otherwise a point phase 1
+        did not validate is skipped as unreachable or
+        statistically indistinguishable.
+        """
+        axis = self.config.swept_axis()
+        grid = self.config.memory_frequencies is not None
+        sm_pairs = self.config.pairs()
+        valid = set(phase1.valid_pairs) if phase1 is not None else set()
+        sm_facet = None if grid or facet is None else float(facet)
+        for pair_index, (init, target) in enumerate(sm_pairs):
+            sm_key = (float(init), float(target))
+            index = facet_index * len(sm_pairs) + pair_index
+            if phase1 is None:
+                reason = axis.facet_fail_reason
+            elif sm_key in valid:
+                reason = None
+            else:
+                reason = (
+                    phase1.unreachable.get(sm_key[0])
+                    or phase1.unreachable.get(sm_key[1])
+                    or "statistically-indistinguishable"
+                )
+            if reason is not None:
+                yield index, PairResult(
+                    init_mhz=sm_key[0],
+                    target_mhz=sm_key[1],
+                    skipped=True,
+                    skip_reason=reason,
+                    memory_mhz=facet if grid else None,
+                    locked_sm_mhz=sm_facet,
+                    axis=axis.name,
+                )
+                continue
+            yield index, PairJob(
+                index=index,
+                init_mhz=sm_key[0],
+                target_mhz=sm_key[1],
+                memory_mhz=facet if grid else None,
+                memory_index=facet_index if grid else None,
+                axis=axis.name,
+                locked_sm_mhz=sm_facet,
+                locked_sm_index=None if sm_facet is None else facet_index,
+            )
+
     def _build_jobs(
         self, phase1_by_facet: dict
     ) -> tuple[list[PairJob], list[tuple[int, PairResult]]]:
         """Valid grid points become jobs; the rest become planned skips.
 
-        Job indices are flat positions in the facet-major campaign grid
-        (``config.facet_plan()`` × ``config.pairs()``), which for legacy
-        campaigns reduces to the pair's position in ``config.pairs()`` —
-        the seed-stream contract of PR 1 is untouched.  Skips come back
-        as ``(index, PairResult)`` in grid order, ready to emit as
-        :class:`~repro.core.stream.PairSkipped` events.
+        Skips come back as ``(index, PairResult)`` in grid order, ready to
+        emit as :class:`~repro.core.stream.PairSkipped` events.
         """
-        axis = self.config.swept_axis()
-        facet_plan = self.config.facet_plan()
-        grid = self.config.memory_frequencies is not None
-        sm_pairs = self.config.pairs()
-
         jobs: list[PairJob] = []
         skips: list[tuple[int, PairResult]] = []
-        for facet_index, facet in enumerate(facet_plan):
-            phase1 = phase1_by_facet.get(facet)
-            valid = set(phase1.valid_pairs) if phase1 is not None else set()
-            sm_facet = None if grid or facet is None else float(facet)
-            for pair_index, (init, target) in enumerate(sm_pairs):
-                sm_key = (float(init), float(target))
-                index = facet_index * len(sm_pairs) + pair_index
-                reason = facet_skip_reason(
-                    phase1, sm_key, valid, axis.facet_fail_reason
-                )
-                if reason is not None:
-                    skips.append(
-                        (
-                            index,
-                            PairResult(
-                                init_mhz=sm_key[0],
-                                target_mhz=sm_key[1],
-                                skipped=True,
-                                skip_reason=reason,
-                                memory_mhz=facet if grid else None,
-                                locked_sm_mhz=sm_facet,
-                                axis=axis.name,
-                            ),
-                        )
-                    )
-                    continue
-                jobs.append(
-                    PairJob(
-                        index=index,
-                        init_mhz=sm_key[0],
-                        target_mhz=sm_key[1],
-                        memory_mhz=facet if grid else None,
-                        memory_index=facet_index if grid else None,
-                        axis=axis.name,
-                        locked_sm_mhz=sm_facet,
-                        locked_sm_index=(
-                            None if sm_facet is None else facet_index
-                        ),
-                    )
-                )
+        for facet_index, facet in enumerate(self.config.facet_plan()):
+            for index, point in self._plan_facet(
+                facet_index, facet, phase1_by_facet.get(facet)
+            ):
+                if isinstance(point, PairJob):
+                    jobs.append(point)
+                else:
+                    skips.append((index, point))
         return jobs, skips
 
     def _calibrate_on_driver(
-        self, bench_driver, facet_index: int, facet
+        self, bench: BenchContext, facet_index: int, facet
     ) -> FacetCalibration:
-        """Driver-scheme calibration: same machine, same draws as serial.
+        """Calibrate one facet on the driver machine itself.
 
-        Single-facet campaigns calibrate on the campaign machine itself so
-        the driver's clock and RNG advance exactly as in the legacy serial
-        loop (the pinned golden hashes depend on it).  The operation order
-        — facet clock, phase 1, probe, fixed-pass evaluation — matches
-        :func:`repro.exec.worker.calibrate_facet` so both schemes produce
-        the same :class:`~repro.core.calibcache.FacetCalibration` shape.
+        The driver scheme of single-facet engine campaigns and every
+        facet of the shared timeline: the driver's clock and RNG advance
+        exactly as the pinned golden hashes expect.  The body is
+        :func:`repro.exec.worker.calibrate_on`, shared with the replica
+        scheme, so both produce the same
+        :class:`~repro.core.calibcache.FacetCalibration` shape.
         """
-        machine, config = self.machine, self.config
-        bench = bench_driver.bench
-        t0 = machine.clock.now
-        if not bench.prepare_facet_clock(facet):
-            return FacetCalibration(
-                facet_index=facet_index,
-                facet=facet,
-                prepared=False,
-                phase1=None,
-                probe=None,
-                fixed_pass_s=0.0,
-                elapsed_virtual_s=machine.clock.now - t0,
-            )
-        phase1 = run_phase1(bench)
-        probe = (
-            bench_driver._probe_windows(phase1)
-            if phase1.valid_pairs
-            else None
-        )
-        # Fixed per-pass duration at this facet (delay + confirmation
-        # iterations at the facet's own iteration time): the additive
-        # term the dispatch cost model needs to rank jobs *across*
-        # facets.  Evaluated here because iteration_duration_s reads
-        # the locked facet clock, which is prepared right now.
-        fixed_pass_s = (
-            config.delay_iterations + config.confirm_iterations
-        ) * bench.axis.iteration_duration_s(
-            bench, phase1.kernel, max(config.frequencies)
-        )
-        return FacetCalibration(
-            facet_index=facet_index,
-            facet=facet,
-            prepared=True,
-            phase1=phase1,
-            probe=probe,
-            fixed_pass_s=fixed_pass_s,
-            elapsed_virtual_s=machine.clock.now - t0,
-        )
+        return calibrate_on(bench, facet_index, facet)
 
     def _run_facet_calibrations(
         self, todo: list, t_begin: float
@@ -410,7 +458,7 @@ class CampaignExecutor:
             return list(pool.map(worker_calibrate, args))
 
     def _calibrate_facets(
-        self, bench_driver, dispatch: StreamDispatcher, fresh: bool
+        self, bench: BenchContext, dispatch: StreamDispatcher, fresh: bool
     ) -> tuple[dict, dict]:
         """Calibrate every facet and emit its ``FacetPrepared`` event.
 
@@ -460,9 +508,7 @@ class CampaignExecutor:
                 # bit-identically.
                 machine.clock.advance(cal.elapsed_virtual_s)
             else:
-                cal = self._calibrate_on_driver(
-                    bench_driver, 0, facet_plan[0]
-                )
+                cal = self._calibrate_on_driver(bench, 0, facet_plan[0])
                 calibrations[0] = cal
                 if cache is not None:
                     cache.install(keys[0], cal)
@@ -492,29 +538,11 @@ class CampaignExecutor:
         probe_by_facet: dict = {}
         for facet_index, facet in enumerate(facet_plan):
             cal = calibrations[facet_index]
-            if not cal.prepared:
-                dispatch.emit(
-                    FacetPrepared(
-                        facet_index=facet_index,
-                        facet=facet,
-                        prepared=False,
-                        cache_hit=facet_index in hits,
-                    )
-                )
-                continue
-            phase1_by_facet[facet] = cal.phase1
-            probe_by_facet[facet] = cal.probe
-            self._fixed_pass_by_facet[facet] = cal.fixed_pass_s
-            dispatch.emit(
-                FacetPrepared(
-                    facet_index=facet_index,
-                    facet=facet,
-                    prepared=True,
-                    phase1=cal.phase1,
-                    probe=cal.probe,
-                    cache_hit=facet_index in hits,
-                )
-            )
+            if cal.prepared:
+                phase1_by_facet[facet] = cal.phase1
+                probe_by_facet[facet] = cal.probe
+                self._fixed_pass_by_facet[facet] = cal.fixed_pass_s
+            dispatch.emit(_facet_prepared(cal, cache_hit=facet_index in hits))
         return phase1_by_facet, probe_by_facet
 
     def _execute(
@@ -618,7 +646,7 @@ class CampaignExecutor:
             journal = CampaignJournal.open(
                 self.journal_dir,
                 fingerprint,
-                mode="engine",
+                mode="serial" if self.workers is None else "engine",
                 resume=self.resume,
                 synopsis=campaign_synopsis(config, machine.blueprint),
             )
@@ -638,19 +666,27 @@ class CampaignExecutor:
         per-facet calibrations (``FacetPrepared``), plans the job grid
         (``PairSkipped`` for planned skips), replays journaled pairs
         (``loaded``) as synthetic events, and returns the carrier with
-        the ``todo`` jobs an external dispatcher measures.
+        the ``todo`` jobs an external dispatcher measures.  On the shared
+        timeline it emits ``CampaignStarted`` only; the rest interleaves
+        with measurement in :meth:`_run_shared_timeline`.
         """
         loaded = {} if loaded is None else loaded
         machine, config = self.machine, self.config
+        shared = self.workers is None
         t_begin = machine.clock.now
         facet_plan = config.facet_plan()
         sm_facets = config.locked_sm_plan()
 
-        bench_driver = LatestBenchmark(machine, config)
+        bench = BenchContext(machine, config)
+        if shared:
+            # The shared timeline's wall clock starts once the driver's
+            # runtime and management contexts are up (their setup
+            # advances the clock).
+            t_begin = machine.clock.now
         dispatch.emit(
             CampaignStarted(
-                gpu_name=bench_driver.bench.device.spec.name,
-                architecture=bench_driver.bench.device.spec.architecture,
+                gpu_name=bench.device.spec.name,
+                architecture=bench.device.spec.architecture,
                 hostname=machine.hostname,
                 device_index=config.device_index,
                 frequencies=config.frequencies,
@@ -659,14 +695,24 @@ class CampaignExecutor:
                 n_pairs=len(config.pairs()),
                 memory_frequencies=config.memory_frequencies,
                 locked_sm_frequencies=sm_facets,
-                mode="engine",
+                mode="serial" if shared else "engine",
                 resumed=bool(loaded),
             )
         )
+        if shared:
+            return PreparedCampaign(
+                payload=None,
+                jobs=[],
+                skips=[],
+                todo=[],
+                t_begin=t_begin,
+                sm_facets=sm_facets,
+                bench=bench,
+            )
 
         # Calibration (phase 1 + probe, per facet): the driver scheme for
-        # single-facet campaigns (same machine, same draws as the legacy
-        # serial loop), the replica scheme — parallelizable, cacheable —
+        # single-facet campaigns (same machine, same draws as the shared
+        # timeline), the replica scheme — parallelizable, cacheable —
         # for multi-facet campaigns.  See _calibrate_facets.
         # Cache eligibility is decided against the pre-bench clock: a
         # machine sitting at its blueprint start time is a fresh build
@@ -674,7 +720,7 @@ class CampaignExecutor:
         # a reused machine mid-timeline (device sweeps) is not, so it
         # calibrates live.
         phase1_by_facet, probe_by_facet = self._calibrate_facets(
-            bench_driver,
+            bench,
             dispatch,
             fresh=(t_begin == machine.blueprint.start_time),
         )
@@ -717,7 +763,7 @@ class CampaignExecutor:
             elapsed_by_index=elapsed_by_index,
             t_begin=t_begin,
             sm_facets=sm_facets,
-            bench_driver=bench_driver,
+            bench=bench,
             n_loaded=len(loaded),
         )
 
@@ -756,12 +802,15 @@ class CampaignExecutor:
         Sums every measured pair's virtual cost in grid-index order,
         advances the driver clock once, emits ``CampaignFinished``, and
         assembles the :class:`CampaignResult` from the accumulator —
-        writing CSVs when the config asks for them.
+        writing CSVs when the config asks for them.  The shared timeline
+        measured on the driver machine itself, whose clock already stands
+        at the end of the last pair, so it advances nothing here.
         """
         machine, config = self.machine, self.config
         total_elapsed = 0.0
-        for index in sorted(prep.elapsed_by_index):
-            total_elapsed += prep.elapsed_by_index[index]
+        if self.workers is not None:
+            for index in sorted(prep.elapsed_by_index):
+                total_elapsed += prep.elapsed_by_index[index]
         if total_elapsed > 0.0:
             machine.clock.advance(total_elapsed)
 
@@ -771,9 +820,7 @@ class CampaignExecutor:
                 locked_sm_mhz=(
                     None
                     if prep.sm_facets is not None
-                    else config.swept_axis().locked_complement_mhz(
-                        prep.bench_driver.bench
-                    )
+                    else config.swept_axis().locked_complement_mhz(prep.bench)
                 ),
             )
         )
@@ -825,40 +872,108 @@ class CampaignExecutor:
         with ExitStack() as stack:
             if guard is not None:
                 stack.enter_context(guard)
-            self._execute(
-                prep.todo,
-                prep.payload,
-                policy,
-                guard=guard,
-                on_result=on_result,
-                on_retry=on_retry,
-            )
+            if self.workers is None:
+                self._run_shared_timeline(prep, dispatch, guard, on_result)
+            else:
+                self._execute(
+                    prep.todo,
+                    prep.payload,
+                    policy,
+                    guard=guard,
+                    on_result=on_result,
+                    on_retry=on_retry,
+                )
         if guard is not None and guard.requested:
             dispatch.interrupt()
-            hint = (
-                f"journal at {self.journal_dir} holds every finished pair; "
-                "rerun with --resume to continue"
-                if journal is not None
-                else "no journal attached, partial results were discarded"
-            )
-            raise CampaignInterrupted(
-                f"campaign interrupted after {merged_count} of "
-                f"{len(prep.jobs)} measured pairs; {hint}",
-                journal_dir=self.journal_dir,
-            )
+            if self.workers is None:
+                # Only a journal arms the guard on the shared timeline,
+                # and that journal can never be resumed.
+                message = (
+                    f"serial campaign interrupted after {merged_count} "
+                    "measured pairs; the journal holds every finished pair "
+                    "(a durable record — serial campaigns cannot be "
+                    "resumed, see the journal docs)"
+                )
+            else:
+                hint = (
+                    f"journal at {self.journal_dir} holds every finished "
+                    "pair; rerun with --resume to continue"
+                    if journal is not None
+                    else "no journal attached, partial results were discarded"
+                )
+                message = (
+                    f"campaign interrupted after {merged_count} of "
+                    f"{len(prep.jobs)} measured pairs; {hint}"
+                )
+            raise CampaignInterrupted(message, journal_dir=self.journal_dir)
         return self.finish(prep, dispatch, accumulator)
+
+    def _run_shared_timeline(
+        self,
+        prep: PreparedCampaign,
+        dispatch: StreamDispatcher,
+        guard: ShutdownGuard | None,
+        on_result,
+    ) -> None:
+        """Calibrate and measure facet by facet on the driver machine.
+
+        The dispatch stage of the shared timeline (``workers=None``).  Per
+        facet, in facet order: calibrate on the driver
+        (:meth:`_calibrate_on_driver`), emit ``FacetPrepared``, then walk
+        the facet's grid points in flat index order.  Planned skips
+        become ``PairSkipped``; every other point runs
+        :func:`~repro.core.campaign.measure_pair` on the driver's own
+        bench, so the clock and RNG advance in place and each pair starts
+        from the machine state the previous one left behind.  ``guard``
+        (if given) stops the walk before the next measured pair once a
+        shutdown signal arrives; the caller decides what that means.
+        """
+        bench, clock = prep.bench, self.machine.clock
+        for facet_index, facet in enumerate(self.config.facet_plan()):
+            cal = self._calibrate_on_driver(bench, facet_index, facet)
+            dispatch.emit(_facet_prepared(cal, cache_hit=False))
+            for index, point in self._plan_facet(
+                facet_index, facet, cal.phase1
+            ):
+                if not isinstance(point, PairJob):
+                    dispatch.emit(PairSkipped(index=index, pair=point))
+                    continue
+                if guard is not None and guard.requested:
+                    return
+                t_pair = clock.now
+                pair = measure_pair(
+                    bench,
+                    point.init_mhz,
+                    point.target_mhz,
+                    cal.phase1,
+                    cal.probe,
+                )
+                pair.memory_mhz = point.memory_mhz
+                pair.locked_sm_mhz = point.locked_sm_mhz
+                on_result(
+                    [
+                        PairJobResult(
+                            index=index,
+                            pair=pair,
+                            elapsed_virtual_s=clock.now - t_pair,
+                        )
+                    ]
+                )
 
 
 def run_campaign_parallel(
     machine: Machine,
     config: LatestConfig,
-    workers: int = 1,
+    workers: int | None = 1,
     pool=None,
     journal: "str | None" = None,
     resume: bool = False,
     sinks=(),
 ) -> CampaignResult:
-    """Run a campaign through the execution engine (see module docs)."""
+    """Run a campaign through the execution engine (see module docs).
+
+    ``workers=None`` runs the shared timeline on ``machine`` itself.
+    """
     return CampaignExecutor(
         machine,
         config,

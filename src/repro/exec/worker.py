@@ -20,7 +20,7 @@ never changes results, only construction cost.
 from __future__ import annotations
 
 from repro.core.calibcache import FacetCalibration
-from repro.core.campaign import LatestBenchmark, measure_pair
+from repro.core.campaign import measure_pair, probe_windows
 from repro.core.context import BenchContext
 from repro.core.phase1 import run_phase1
 from repro.core.results import PairResult
@@ -36,6 +36,7 @@ from repro.machine import MachineBlueprint
 
 __all__ = [
     "calibrate_facet",
+    "calibrate_on",
     "fire_worker_faults",
     "run_pair_job",
     "worker_calibrate",
@@ -82,34 +83,25 @@ def worker_run_unit(jobs: list[PairJob]) -> list[PairJobResult]:
     ]
 
 
-def calibrate_facet(
-    blueprint: MachineBlueprint,
-    config,
-    facet_index: int,
-    facet: float | None,
-    start_time: float,
+def calibrate_on(
+    bench: BenchContext, facet_index: int, facet: float | None
 ) -> FacetCalibration:
-    """Run one facet's calibration on an independent replica machine.
+    """Calibrate one facet on ``bench``'s machine: the one calibration body.
 
-    The replica calibration scheme of multi-facet engine campaigns: the
-    machine is rebuilt from the blueprint with the facet's own
-    :func:`~repro.exec.jobs.calibration_seed_sequence` stream, booted at
-    the campaign's start time, and runs facet-clock preparation, phase 1
-    and the probe exactly as the driver would — a pure function of
-    ``(blueprint, config, facet_index, facet, start_time)``, so parallel
-    dispatch, sequential execution, and cache replay are all
-    bit-identical.  The fixed per-pass duration for the dispatch cost
-    model is evaluated here, while the facet clock is prepared, and
-    travels inside the returned
-    :class:`~repro.core.calibcache.FacetCalibration`.
+    Locks the facet clock, runs phase 1 and — when any pair is
+    distinguishable — the probe stage, then evaluates the facet's fixed
+    per-pass duration (delay + confirmation iterations at the facet's own
+    iteration time), the additive term the dispatch cost model needs to
+    rank jobs *across* facets.  It is evaluated here because
+    ``iteration_duration_s`` reads the locked facet clock, which is
+    prepared right now.  Every calibration scheme runs this body: the
+    driver scheme and the shared timeline on the campaign machine
+    (:meth:`~repro.exec.engine.CampaignExecutor._calibrate_on_driver`),
+    the replica scheme on a rebuilt machine (:func:`calibrate_facet`).
     """
-    seed = calibration_seed_sequence(
-        blueprint, config.device_index, facet_index, config.axis
-    )
-    machine = blueprint.build(seed=seed, start_time=start_time)
-    driver = LatestBenchmark(machine, config)
-    bench = driver.bench
-    t0 = machine.clock.now
+    config = bench.config
+    clock = bench.machine.clock
+    t0 = clock.now
     if not bench.prepare_facet_clock(facet):
         return FacetCalibration(
             facet_index=facet_index,
@@ -118,10 +110,13 @@ def calibrate_facet(
             phase1=None,
             probe=None,
             fixed_pass_s=0.0,
-            elapsed_virtual_s=machine.clock.now - t0,
+            elapsed_virtual_s=clock.now - t0,
         )
     phase1 = run_phase1(bench)
-    probe = driver._probe_windows(phase1) if phase1.valid_pairs else None
+    # Power caps or too-coarse workloads can leave no distinguishable
+    # pair at all; the facet then reports every pair as skipped rather
+    # than failing (the tool's CSV output stays consistent).
+    probe = probe_windows(bench, phase1) if phase1.valid_pairs else None
     fixed_pass_s = (
         config.delay_iterations + config.confirm_iterations
     ) * bench.axis.iteration_duration_s(
@@ -134,8 +129,32 @@ def calibrate_facet(
         phase1=phase1,
         probe=probe,
         fixed_pass_s=fixed_pass_s,
-        elapsed_virtual_s=machine.clock.now - t0,
+        elapsed_virtual_s=clock.now - t0,
     )
+
+
+def calibrate_facet(
+    blueprint: MachineBlueprint,
+    config,
+    facet_index: int,
+    facet: float | None,
+    start_time: float,
+) -> FacetCalibration:
+    """Run one facet's calibration on an independent replica machine.
+
+    The replica calibration scheme of multi-facet engine campaigns: the
+    machine is rebuilt from the blueprint with the facet's own
+    :func:`~repro.exec.jobs.calibration_seed_sequence` stream, booted at
+    the campaign's start time, and calibrated by :func:`calibrate_on` —
+    a pure function of ``(blueprint, config, facet_index, facet,
+    start_time)``, so parallel dispatch, sequential execution, and cache
+    replay are all bit-identical.
+    """
+    seed = calibration_seed_sequence(
+        blueprint, config.device_index, facet_index, config.axis
+    )
+    machine = blueprint.build(seed=seed, start_time=start_time)
+    return calibrate_on(BenchContext(machine, config), facet_index, facet)
 
 
 def worker_calibrate(args: tuple) -> FacetCalibration:

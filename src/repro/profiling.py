@@ -19,7 +19,7 @@ calibration  ``calibrate_facet`` + ``_calibrate_on_driver``
              (whole per-facet calibrations: facet clock, phase 1,
              probe — the stage the calibration cache eliminates)
 phase1       ``run_phase1`` (characterization sweeps, per facet)
-probe        ``_probe_windows`` (window-sizing probe passes)
+probe        ``probe_windows`` (window-sizing probe passes)
 batch-step   ``measure_pair_blocked`` (single-pair blocked loops)
 simulate     ``run_switch_benchmark`` (phase-2 passes: PTP sync, settle,
              switch kernel, cycle draws and completion times)
@@ -31,7 +31,7 @@ stream       ``StreamDispatcher.emit`` + ``ResultAccumulator.on_event``
              (campaign event dispatch + index-keyed result assembly)
 ===========  =========================================================
 
-Stages may nest — engine campaigns run ``phase1`` and ``probe`` inside
+Stages may nest — campaigns run ``phase1`` and ``probe`` inside
 ``calibration``, and the pass-loop stages run inside ``batch-step`` — so
 the rows are overlapping attributions against total time, not a
 partition of it.
@@ -53,7 +53,7 @@ STAGE_ANCHORS: dict[str, tuple[tuple[str, ...], ...]] = {
         ("engine.py", "_calibrate_on_driver"),
     ),
     "phase1": (("phase1.py", "run_phase1"),),
-    "probe": (("campaign.py", "_probe_windows"),),
+    "probe": (("campaign.py", "probe_windows"),),
     "batch-step": (("passblock.py", "measure_pair_blocked"),),
     "simulate": (
         ("phase2.py", "run_switch_benchmark", "passblock.py", "measure_pair_blocked"),

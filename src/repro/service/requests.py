@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from repro.core.config import LatestConfig
+from repro.core.config import LatestConfig, require_integer
 from repro.errors import ConfigError
 from repro.machine import Machine, make_machine
 
@@ -71,6 +71,10 @@ class CampaignRequest:
             raise ConfigError(
                 f"request weight must be > 0, got {self.weight}"
             )
+        # Both feed make_machine() only after submit, where a float seed
+        # would fail deep inside NumPy's SeedSequence.
+        require_integer("n_gpus", self.n_gpus)
+        require_integer("seed", self.seed)
         unknown = set(self.config) - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(

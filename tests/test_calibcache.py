@@ -25,7 +25,6 @@ from repro.core.calibcache import (
     calibration_fingerprint,
     last_run_stats,
 )
-from repro.core.campaign import LatestBenchmark
 from repro.core.stream import FacetPrepared, RecordingSink
 from repro.errors import CampaignInterrupted, ConfigError
 from repro.exec.daemon import WarmPool
@@ -333,9 +332,8 @@ class TestColdWarmIdentity:
         def bomb(*args, **kwargs):  # pragma: no cover - must never run
             raise AssertionError("calibration re-ran on a warm cache")
 
-        monkeypatch.setattr("repro.exec.engine.run_phase1", bomb)
         monkeypatch.setattr("repro.exec.worker.run_phase1", bomb)
-        monkeypatch.setattr(LatestBenchmark, "_probe_windows", bomb)
+        monkeypatch.setattr("repro.exec.worker.probe_windows", bomb)
         warm = run_campaign(
             _machine(), _axis_config(axis, calibration_cache=cache), workers=1
         )
@@ -351,9 +349,8 @@ class TestColdWarmIdentity:
         def bomb(*args, **kwargs):  # pragma: no cover - must never run
             raise AssertionError("calibration re-ran on a warm cache")
 
-        monkeypatch.setattr("repro.exec.engine.run_phase1", bomb)
         monkeypatch.setattr("repro.exec.worker.run_phase1", bomb)
-        monkeypatch.setattr(LatestBenchmark, "_probe_windows", bomb)
+        monkeypatch.setattr("repro.exec.worker.probe_windows", bomb)
         warm = run_campaign(
             _machine(11), _facet_config(calibration_cache=cache), workers=1
         )
@@ -553,9 +550,8 @@ class TestResumeWithWarmCache:
         def bomb(*args, **kwargs):  # pragma: no cover - must never run
             raise AssertionError("calibration re-ran on resume")
 
-        monkeypatch.setattr("repro.exec.engine.run_phase1", bomb)
         monkeypatch.setattr("repro.exec.worker.run_phase1", bomb)
-        monkeypatch.setattr(LatestBenchmark, "_probe_windows", bomb)
+        monkeypatch.setattr("repro.exec.worker.probe_windows", bomb)
         resumed = run_campaign(
             _machine(11),
             _facet_config(calibration_cache=cache),

@@ -133,6 +133,26 @@ class TestMain:
         with pytest.raises(SystemExit, match="pass_block_size must be >= 1"):
             main(["705,1410", "--pass-block", block])
 
+    def test_inject_faults_routes_to_engine(self, tmp_path, capsys):
+        out_dir = tmp_path / "csv"
+        code = main(
+            [
+                "705,1410",
+                "--sm-count", "4",
+                "--min-measurements", "4",
+                "--max-measurements", "6",
+                "--seed", "3",
+                "--inject-faults", "raise@0*99",
+                "--output-dir", str(out_dir),
+            ]
+        )
+        assert code == 0
+        (summary,) = out_dir.glob("summary_*.csv")
+        rows = summary.read_text().splitlines()
+        assert rows[1].startswith("705,1410,quarantined after")
+        assert rows[2].startswith("1410,705,ok,")
+        assert "skipped (quarantined" in capsys.readouterr().out
+
     def test_locked_sm_requires_memory_axis(self):
         with pytest.raises(SystemExit):
             main(["705,1410", "--locked-sm", "1410"])

@@ -152,6 +152,22 @@ class TestAdaptiveDbscan:
         assert res.n_clusters == 1
         assert not res.outlier_mask.any()
 
+    def test_all_noise_keeps_every_point(self):
+        # A sparse 12-measurement pair where no point has min_pts = 4
+        # neighbours within eps: the only configuration tried labels all
+        # of it noise, which would leave the pair with nothing to report.
+        latencies_ms = [
+            15.1341, 15.3236, 15.9564, 16.3873, 16.9419, 17.5873,
+            17.6448, 17.7044, 18.2823, 18.3362, 18.366, 19.3612,
+        ]
+        res = adaptive_dbscan(np.asarray(latencies_ms) * 1e-3)
+        assert not res.converged
+        assert res.attempts == ((4, 1.0),)
+        assert not res.outlier_mask.any()
+        assert res.kept_mask.all()
+        assert res.n_clusters == 1
+        assert res.outlier_ratio == 0.0
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ConfigError):
             adaptive_dbscan([1.0, 2.0, 3.0])

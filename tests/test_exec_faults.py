@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import make_machine
+from repro import make_machine, run_campaign
 from repro.errors import ConfigError
 from repro.exec import FaultInjected, FaultPlan, WarmPool
 from repro.exec.engine import run_campaign_parallel
@@ -142,6 +142,17 @@ class TestEngineRecovery:
         skipped = [p for p in result.pairs.values() if p.skipped]
         assert len(skipped) == 1
         assert skipped[0].skip_reason.startswith("quarantined after 1")
+
+
+class TestSerialRefusesFaults:
+    def test_serial_inject_faults_rejected(self):
+        # The shared timeline cannot retry a pair bit-identically, so it
+        # must refuse fault injection rather than silently ignore it.
+        with pytest.raises(ConfigError, match="inject_faults"):
+            run_campaign(
+                make_machine("A100", seed=3),
+                fast_config((705.0, 1410.0), inject_faults="raise@0*99"),
+            )
 
 
 class TestWarmPoolRecovery:

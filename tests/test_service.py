@@ -15,7 +15,6 @@ calibration cache.
 import asyncio
 import json
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -529,6 +528,14 @@ class TestRequestValidation:
             CampaignRequest(tenant="")
         with pytest.raises(ConfigError, match="weight"):
             CampaignRequest(weight=0.0)
+
+    @pytest.mark.parametrize("name", ["seed", "n_gpus"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, False])
+    def test_machine_integers_validated(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            CampaignRequest(**{name: value})
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            CampaignRequest.from_json(json.dumps({name: value}))
 
     def test_json_round_trip_preserves_request(self):
         request = _request(42, tenant="alice", weight=2.5)
